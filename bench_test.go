@@ -28,9 +28,12 @@ var runner = experiments.NewRunner()
 // BenchmarkSimFigure2Matrix is the tracked whole-simulation benchmark:
 // the full Figure 2 run matrix (14 apps x ppn {1,2,4} at 6% MP, 16
 // processors) on a fresh un-memoized single-worker runner each
-// iteration, so elapsed time is pure simulator throughput. The ns/ref
-// and refs/sec metrics are what cmd/bench records in BENCH_results.json
-// and what the CI bench job gates on.
+// iteration. The fresh runner regenerates every trace, so elapsed time
+// is trace generation plus simulation, not pure simulator throughput:
+// generation is about a tenth of each iteration (0.53-0.59 s of
+// 5.3-5.8 s on a 2-vCPU x86-64 host). The ns/ref and refs/sec metrics
+// are what cmd/bench records in BENCH_results.json and what the CI
+// bench job gates on.
 func BenchmarkSimFigure2Matrix(b *testing.B) {
 	// References processed per matrix iteration: each app simulates once
 	// per clustering degree.

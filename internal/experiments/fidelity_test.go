@@ -9,6 +9,8 @@ import (
 	"repro/internal/apps"
 	"repro/internal/config"
 	"repro/internal/machine"
+	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // Accuracy regression tests for the sampled execution fidelity: every
@@ -187,4 +189,85 @@ func FuzzFidelityGeometry(f *testing.F) {
 			t.Errorf("negative window count %d", rep.Windows)
 		}
 	})
+}
+
+// TestSampledCountParity pins the count half of the sampled-fidelity
+// contract on the observability side: exact and sampled runs take the
+// same access path, so the windowed sampler sees every data reference
+// in both modes (the Timeline's summed reads and writes equal the
+// trace's reference counts), and a sampled run reports its write-buffer
+// stalls as KindWBStall events wherever its exact twin stalls.
+func TestSampledCountParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation matrix in -short mode")
+	}
+	r := NewRunner()
+	r.Procs = 8
+	r.SampleWindow = 10000
+	var sink *obs.Counting
+	r.SinkFactory = func(string, config.Machine) obs.Sink {
+		sink = &obs.Counting{}
+		return sink
+	}
+	type counts struct{ reads, writes, wbEvents, wbNs, tlWBNs int64 }
+	run := func(app string, cfg config.Machine) counts {
+		t.Helper()
+		res, err := r.Run(app, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := counts{wbEvents: sink.Kinds[obs.KindWBStall], wbNs: sink.WBStallNs}
+		tl := res.Timeline
+		for i := range tl.Reads {
+			c.reads += tl.Reads[i]
+			c.writes += tl.Writes[i]
+			c.tlWBNs += tl.WBStallNs[i]
+		}
+		return c
+	}
+	for _, app := range []string{"fft", "radix", "ocean-c"} {
+		tr, err := r.Trace(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reads, writes int64
+		for i := range tr.Streams {
+			s := &tr.Streams[i]
+			for j := 0; j < s.Len(); j++ {
+				switch s.Kind(j) {
+				case trace.Read:
+					reads++
+				case trace.Write:
+					writes++
+				}
+			}
+		}
+		for _, topo := range []string{machine.TopologyBus, machine.TopologyRing} {
+			cfg := config.Baseline(2, config.MP87)
+			if topo == machine.TopologyRing {
+				cfg.Topology, cfg.Clusters = topo, 2
+			}
+			cfg.Fidelity = config.Fidelity{Mode: machine.FidelityExact}
+			exact := run(app, cfg)
+			cfg.Fidelity = config.Fidelity{Mode: machine.FidelitySampled}
+			sampled := run(app, cfg)
+			for _, m := range []struct {
+				mode string
+				c    counts
+			}{{"exact", exact}, {"sampled", sampled}} {
+				if m.c.reads != reads || m.c.writes != writes {
+					t.Errorf("%s %s %s: timeline saw %d reads, %d writes; the trace has %d, %d",
+						app, topo, m.mode, m.c.reads, m.c.writes, reads, writes)
+				}
+				if m.c.wbNs != m.c.tlWBNs {
+					t.Errorf("%s %s %s: write-buffer stall events total %d ns, timeline %d ns",
+						app, topo, m.mode, m.c.wbNs, m.c.tlWBNs)
+				}
+			}
+			if exact.wbEvents > 0 && sampled.wbEvents == 0 {
+				t.Errorf("%s %s: exact run has %d write-buffer stall events, sampled none",
+					app, topo, exact.wbEvents)
+			}
+		}
+	}
 }

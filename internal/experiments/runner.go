@@ -183,7 +183,19 @@ func (r *Runner) Run(app string, cfg config.Machine) (*machine.Result, error) {
 	}
 	c := r.resultCell(runKey{app: app, cfg: cfg})
 	c.once.Do(func() {
-		c.res, c.err = r.simulate(app, cfg)
+		tr, err := r.TraceAt(app, cfg.Procs)
+		if err != nil {
+			c.err = err
+			return
+		}
+		c.res, c.err = r.simulate(app, tr, cfg)
+		if c.err == nil && r.Progress != nil {
+			r.mu.Lock()
+			fmt.Fprintf(r.Progress, "ran %-10s %dp/node mp=%-4s ways=%d dram=%.2g nc=%.2g bus=%.2g -> exec %v\n",
+				app, cfg.ProcsPerNode, cfg.Pressure.Label, cfg.AMWays,
+				cfg.DRAMBandwidth, cfg.NCBandwidth, cfg.BusBandwidth, c.res.ExecTime)
+			r.mu.Unlock()
+		}
 	})
 	return c.res, c.err
 }
@@ -195,11 +207,8 @@ func (r *Runner) Run(app string, cfg config.Machine) (*machine.Result, error) {
 // key, and a CLI caller holds the trace itself. cfg.Procs must match the
 // trace. The simulation seams (OnSimulate, WrapSimulate, SinkFactory,
 // sampling, fidelity default) behave exactly as in Run, with the app
-// label "trace:<name>". Uploaded traces are validated before they get
-// here, but as defense in depth a panic out of the machine — which would
-// kill the daemon from an async job's goroutine — is converted into an
-// error.
-func (r *Runner) RunTrace(tr *trace.Trace, cfg config.Machine) (res *machine.Result, err error) {
+// label "trace:<name>".
+func (r *Runner) RunTrace(tr *trace.Trace, cfg config.Machine) (*machine.Result, error) {
 	if cfg.Procs == 0 {
 		cfg.Procs = tr.Procs
 	}
@@ -210,12 +219,15 @@ func (r *Runner) RunTrace(tr *trace.Trace, cfg config.Machine) (res *machine.Res
 	if cfg.Fidelity == (config.Fidelity{}) {
 		cfg.Fidelity = r.Fidelity
 	}
-	label := "trace:" + tr.Name
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("%s: simulation panic: %v", label, p)
-		}
-	}()
+	return r.simulate("trace:"+tr.Name, tr, cfg)
+}
+
+// simulate executes one run of tr (no caching; Run wraps it in a cell)
+// through the simulation seams, labelled for them and for errors. A
+// panic out of the machine becomes an error: simulations run on pool
+// and daemon goroutines, where an unrecovered panic would end the
+// process.
+func (r *Runner) simulate(label string, tr *trace.Trace, cfg config.Machine) (res *machine.Result, err error) {
 	if r.OnSimulate != nil {
 		r.OnSimulate(label, cfg)
 	}
@@ -223,6 +235,11 @@ func (r *Runner) RunTrace(tr *trace.Trace, cfg config.Machine) (res *machine.Res
 		finish := r.WrapSimulate(label, cfg)
 		defer func() { finish(err) }()
 	}
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("%s: simulation panic: %v", label, p)
+		}
+	}()
 	m, err := machine.New(cfg.Params(tr.WorkingSet))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", label, err)
@@ -237,44 +254,6 @@ func (r *Runner) RunTrace(tr *trace.Trace, cfg config.Machine) (res *machine.Res
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", label, err)
 	}
-	m.Release()
-	return res, nil
-}
-
-// simulate executes one run (no caching; Run wraps it in a cell).
-func (r *Runner) simulate(app string, cfg config.Machine) (res *machine.Result, err error) {
-	tr, err := r.TraceAt(app, cfg.Procs)
-	if err != nil {
-		return nil, err
-	}
-	if r.OnSimulate != nil {
-		r.OnSimulate(app, cfg)
-	}
-	if r.WrapSimulate != nil {
-		finish := r.WrapSimulate(app, cfg)
-		defer func() { finish(err) }()
-	}
-	m, err := machine.New(cfg.Params(tr.WorkingSet))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", app, err)
-	}
-	if r.SinkFactory != nil {
-		m.SetSink(r.SinkFactory(app, cfg))
-	}
-	if r.SampleWindow > 0 {
-		m.EnableSampling(r.SampleWindow)
-	}
-	res, err = m.RunContext(r.ctx(), tr)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", app, err)
-	}
 	m.Release() // Result is value-detached; recycle the tag arrays
-	if r.Progress != nil {
-		r.mu.Lock()
-		fmt.Fprintf(r.Progress, "ran %-10s %dp/node mp=%-4s ways=%d dram=%.2g nc=%.2g bus=%.2g -> exec %v\n",
-			app, cfg.ProcsPerNode, cfg.Pressure.Label, cfg.AMWays,
-			cfg.DRAMBandwidth, cfg.NCBandwidth, cfg.BusBandwidth, res.ExecTime)
-		r.mu.Unlock()
-	}
 	return res, nil
 }

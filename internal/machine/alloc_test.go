@@ -24,15 +24,16 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := steadyStateAllocs(m); got != 0 {
+	if got := steadyStateAllocs(m, false); got != 0 {
 		t.Fatalf("steady-state references allocate %.2f times per ref, want 0", got)
 	}
 }
 
 // TestSamplingOffZeroAlloc pins the sampling feature's disabled path: a
 // machine that never called EnableSampling takes only the nil-sampler
-// branch checks in doRead/doWrite/step, which must not allocate — the
-// windowed-sampler companion to TestDisabledSinkZeroAlloc (sinks).
+// branch checks in the access path and the scheduler, which must not
+// allocate — the windowed-sampler companion to TestDisabledSinkZeroAlloc
+// (sinks).
 func TestSamplingOffZeroAlloc(t *testing.T) {
 	p := DefaultParams(8, 2, 32*1024, 256*1024)
 	m, err := New(p)
@@ -45,7 +46,7 @@ func TestSamplingOffZeroAlloc(t *testing.T) {
 	if m.sampler != nil {
 		t.Fatal("sampler unexpectedly enabled")
 	}
-	if got := steadyStateAllocs(m); got != 0 {
+	if got := steadyStateAllocs(m, false); got != 0 {
 		t.Fatalf("sampling-off references allocate %.2f times per ref, want 0", got)
 	}
 }
@@ -64,61 +65,22 @@ func TestFastForwardZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ffSteadyStateAllocs(m); got != 0 {
+	if got := steadyStateAllocs(m, true); got != 0 {
 		t.Fatalf("fast-forward references allocate %.2f times per ref, want 0", got)
 	}
-}
-
-// ffSteadyStateAllocs is steadyStateAllocs' fast-forward twin: same
-// warm-then-measure shape, but references run through ffRead/ffWrite
-// under freeflow, the way ffBurst drives them.
-func ffSteadyStateAllocs(m *Machine) float64 {
-	m.beginMeasure(0)
-	m.freeflow = true
-	defer func() { m.freeflow = false }()
-
-	const lines = 512
-	rng := rand.New(rand.NewSource(3))
-	addr := func() addrspace.Addr {
-		return addrspace.Addr((rng.Intn(lines) + 16) * addrspace.LineSize)
-	}
-	for i := 0; i < 8*lines; i++ {
-		q := m.procs[rng.Intn(len(m.procs))]
-		if i%3 == 0 {
-			m.ffWrite(q, addr())
-		} else {
-			m.ffRead(q, addr())
-		}
-	}
-	type ref struct {
-		proc  int
-		addr  addrspace.Addr
-		write bool
-	}
-	seq := make([]ref, 1024)
-	for i := range seq {
-		seq[i] = ref{proc: rng.Intn(len(m.procs)), addr: addr(), write: rng.Intn(3) == 0}
-	}
-	i := 0
-	return testing.AllocsPerRun(5000, func() {
-		r := seq[i%len(seq)]
-		i++
-		q := m.procs[r.proc]
-		if r.write {
-			m.ffWrite(q, r.addr)
-		} else {
-			m.ffRead(q, r.addr)
-		}
-	})
 }
 
 // steadyStateAllocs warms the machine's caches, directory and attraction
 // memories, then measures heap allocations per reference over a
 // precomputed sequence (the generator itself must not count against the
-// machine).
-func steadyStateAllocs(m *Machine) float64 {
+// machine). References run through the one read/write path, detailed or
+// — with fast set — in fast-forward under freeflow, the way a burst
+// drives them.
+func steadyStateAllocs(m *Machine, fast bool) float64 {
 	// Measure from the start (internal switch; no trace is involved).
 	m.beginMeasure(0)
+	m.freeflow = fast
+	defer func() { m.freeflow = false }()
 
 	// A fixed region well under AM capacity: 4 nodes x 256KiB/proc x 2
 	// procs holds thousands of lines; 512 lines leave generous headroom,
@@ -132,9 +94,9 @@ func steadyStateAllocs(m *Machine) float64 {
 	for i := 0; i < 8*lines; i++ {
 		q := m.procs[rng.Intn(len(m.procs))]
 		if i%3 == 0 {
-			m.doWrite(q, addr())
+			m.write(q, addr())
 		} else {
-			m.doRead(q, addr())
+			m.read(q, addr())
 		}
 	}
 	// Steady state: a precomputed reference sequence.
@@ -153,9 +115,9 @@ func steadyStateAllocs(m *Machine) float64 {
 		i++
 		q := m.procs[r.proc]
 		if r.write {
-			m.doWrite(q, r.addr)
+			m.write(q, r.addr)
 		} else {
-			m.doRead(q, r.addr)
+			m.read(q, r.addr)
 		}
 	})
 }

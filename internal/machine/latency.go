@@ -30,8 +30,8 @@ func (h *LatencyHist) Buckets() []int64 {
 }
 
 func (h *LatencyHist) add(lat engine.Time) {
-	for i, b := range latBounds {
-		if lat <= b {
+	for i := range latBounds {
+		if lat <= latBounds[i] {
 			h.Counts[i]++
 			return
 		}

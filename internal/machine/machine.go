@@ -62,7 +62,7 @@ type proc struct {
 	// and deterministic.
 	ffRem int64
 
-	// Fast-forward line memo (sampled fidelity only; see ffRead/ffWrite):
+	// Fast-forward line memo (sampled fidelity only; see read/write):
 	// a 64-entry direct-mapped table of lines known L1-resident (ffValid)
 	// or SLC-dirty with siblings already invalidated (ffWritable). Valid
 	// bits persist across bursts — every path that can remove a line from
@@ -197,6 +197,11 @@ func NewWithMem(p Params, buildMem func(purge func(node int, l addrspace.Line, e
 		return nil, fmt.Errorf("machine: ring topology requires the COMA memory system (its Txn holder masks drive ring routing)")
 	}
 	if buildMem == nil {
+		if nodes < 2 {
+			// A forced relocation must find another node to accept the
+			// line (coma.Protocol.findReceiver).
+			return nil, fmt.Errorf("machine: the COMA memory system needs at least 2 nodes, got %d (procs %d, %d per node)", nodes, p.Procs, p.ProcsPerNode)
+		}
 		var transition func(node int, l addrspace.Line, from, to cache.State)
 		if ring {
 			perCluster := nodes / p.Topology.Clusters
@@ -379,6 +384,9 @@ func (m *Machine) RunContext(ctx context.Context, tr *trace.Trace) (*Result, err
 	// unique minimum and can keep stepping with no heap work at all:
 	// every path that wakes another processor (release, barrier exit)
 	// also advances p's clock, so no other key can have moved meanwhile.
+	// In sampled fidelity a pick in a fast-forward phase instead runs a
+	// burst (ffSlice): p alone, up to the next detailed boundary or a
+	// synchronization record, which is what keeps the line memo exact.
 	for {
 		if done != nil {
 			if steps++; steps >= cancelCheckInterval {
@@ -395,17 +403,28 @@ func (m *Machine) RunContext(ctx context.Context, tr *trace.Trace) (*Result, err
 			break
 		}
 		p := m.procs[id]
-		if m.ff != nil && m.ff.fastAt(p.t) {
-			m.ffBurst(p)
-		} else {
-			for {
-				t0 := p.t
-				m.step(p)
-				if p.done || p.blocked || p.t != t0 {
-					break
-				}
+		m.now = p.t
+		if m.sampler != nil {
+			// Scheduler time is non-decreasing (the heap steps the global
+			// (clock, id) minimum), so this closes every window the clock
+			// passed.
+			m.sampler.Advance(int64(p.t))
+		}
+		limit := p.t + 1 // detailed: run while p's clock stands still
+		if m.ff != nil {
+			m.ffSync(p.t)
+			if m.ff.fastAt(p.t) {
+				limit = m.ff.burstEnd(p.t)
+				m.freeflow = true
+				// Valid (L1-residency) memo bits persist across bursts —
+				// the drop hooks keep them exact — but writable claims
+				// must be re-proved: another processor may have become a
+				// sharer since the last burst.
+				p.ffWritable = 0
 			}
 		}
+		m.step(p, limit)
+		m.freeflow = false
 		if p.done || p.blocked {
 			m.ready.remove(id)
 		} else {
@@ -431,52 +450,49 @@ func refAt(p *proc) string {
 	return "end"
 }
 
-// step executes one trace record for p.
-func (m *Machine) step(p *proc) {
-	m.now = p.t
-	if m.sampler != nil {
-		// Scheduler time is non-decreasing (the heap steps the global
-		// (clock, id) minimum), so this closes every window the clock
-		// passed.
-		m.sampler.Advance(int64(p.t))
-	}
-	if m.ff != nil {
-		m.ffSync(p.t)
-	}
-	if p.pc >= p.refs.Len() {
-		// Released from a final barrier with nothing left to run.
-		m.finish(p)
-		return
-	}
-	r := p.refs.At(p.pc)
-	switch r.Kind {
-	case trace.Compute:
-		if m.measuring {
-			p.st.Busy += r.Dur
+// step runs p's trace records until its clock reaches limit, it blocks
+// or finishes, or it executes a synchronization record. Synchronization
+// ends a fast-forward burst (its charges run contention-free under
+// freeflow): lock handoffs and barrier releases move other processors'
+// clocks, so the scheduler must re-pick its minimum.
+func (m *Machine) step(p *proc, limit engine.Time) {
+	refs := p.refs
+	for p.pc < refs.Len() {
+		r := refs.At(p.pc)
+		p.pc++
+		sync := false
+		switch r.Kind {
+		case trace.Compute:
+			if m.measuring {
+				p.st.Busy += r.Dur
+			}
+			p.t += r.Dur
+		case trace.Read:
+			m.read(p, r.Addr)
+		case trace.Write:
+			m.write(p, r.Addr)
+		case trace.Acquire:
+			if !m.doAcquire(p, r) {
+				p.pc-- // blocked; retry the same record when woken
+				return
+			}
+			sync = true
+		case trace.Release:
+			m.doRelease(p, r)
+			sync = true
+		case trace.Barrier, trace.MeasureStart:
+			m.doBarrier(p, r)
+			sync = true
+		default:
+			panic(fmt.Sprintf("machine: unknown ref kind %d", r.Kind))
 		}
-		p.t += r.Dur
-		p.pc++
-	case trace.Read:
-		m.doRead(p, r.Addr)
-		p.pc++
-	case trace.Write:
-		m.doWrite(p, r.Addr)
-		p.pc++
-	case trace.Acquire:
-		if !m.doAcquire(p, r) {
-			return // blocked; retry the same record when woken
+		if sync || p.blocked || p.t >= limit {
+			break
 		}
-		p.pc++
-	case trace.Release:
-		m.doRelease(p, r)
-		p.pc++
-	case trace.Barrier, trace.MeasureStart:
-		p.pc++
-		m.doBarrier(p, r)
-	default:
-		panic(fmt.Sprintf("machine: unknown ref kind %d", r.Kind))
 	}
-	if !p.blocked && p.pc >= p.refs.Len() {
+	if !p.blocked && p.pc >= refs.Len() {
+		// Includes a processor released from a final barrier with
+		// nothing left to run.
 		m.finish(p)
 	}
 }
@@ -488,110 +504,6 @@ func (m *Machine) finish(p *proc) {
 	p.finished = engine.Max(p.t, p.wbLast)
 	if m.measuring {
 		p.st.Finish = p.finished - p.start
-	}
-}
-
-// doRead services a blocking load.
-func (m *Machine) doRead(p *proc, a addrspace.Addr) {
-	if m.measuring {
-		p.st.Reads++
-		m.reads++
-	}
-	if m.sampler != nil {
-		m.sampler.NoteAccess(false)
-	}
-	l := addrspace.LineOf(a)
-	if _, ok := p.l1.Touch(l); ok {
-		if m.measuring {
-			m.latency.add(0) // L1 hit: 0 ns (paper)
-		}
-		return
-	}
-	t0 := p.t
-	if _, ok := p.slc.Touch(l); ok {
-		start := p.slcRes.Claim(p.t, DefaultSLCHit)
-		p.t = start + DefaultSLCHit
-		m.l1Insert(p, l)
-		m.stall(p, StallSLC, p.t-t0)
-		if m.measuring {
-			m.latency.add(p.t - t0)
-		}
-		if m.counting {
-			m.ff.noteRead(p.id, StallSLC, p.t-t0, DefaultSLCHit)
-		}
-		return
-	}
-	var w0 engine.Time
-	if m.counting {
-		w0 = m.waitAcc
-	}
-	eff := m.mem.Read(p.node, l)
-	if m.sampler != nil {
-		m.sampler.NoteMiss(!eff.Hit && !eff.Cold)
-	}
-	done, class := m.charge(p.node, p.slcRes, p.t, eff)
-	if m.counting {
-		// Calibration: the read's measured service time against its
-		// contention-free component (service minus queueing delay).
-		m.ff.noteRead(p.id, class, done-t0, (done-t0)-(m.waitAcc-w0))
-	}
-	p.t = done
-	m.l1Insert(p, l)
-	m.slcInsert(p, l, cacheValid)
-	if m.measuring {
-		m.slcMisses++
-		if !eff.Hit && !eff.Cold {
-			m.readNodeMisses++
-		}
-		m.latency.add(p.t - t0)
-	}
-	m.stall(p, class, p.t-t0)
-}
-
-// l1Insert fills p's L1 and, in sampled mode, records the line in p's
-// fast-forward memo (the eviction drop keeps the memo's L1-residency
-// claims exact).
-func (m *Machine) l1Insert(p *proc, l addrspace.Line) {
-	victim, evicted := p.l1.Insert(l, cacheValid)
-	if m.ff == nil {
-		return
-	}
-	if evicted {
-		p.ffDrop(victim.Line)
-	}
-	i := uint64(l) & 63
-	bit := uint64(1) << i
-	p.ffLines[i] = l
-	p.ffValid |= bit
-	p.ffWritable &^= bit
-}
-
-// ffDrop evicts a line from p's fast-forward memo (its residency claim no
-// longer holds).
-func (p *proc) ffDrop(l addrspace.Line) {
-	i := uint64(l) & 63
-	if p.ffLines[i] == l {
-		bit := uint64(1) << i
-		p.ffValid &^= bit
-		p.ffWritable &^= bit
-	}
-}
-
-// slcInsert fills the SLC, writing back a displaced dirty victim to the
-// attraction memory (off the critical path) and keeping the L1 included.
-func (m *Machine) slcInsert(p *proc, l addrspace.Line, st cache.State) {
-	victim, evicted := p.slc.Insert(l, st)
-	if !evicted {
-		return
-	}
-	p.l1.Invalidate(victim.Line)
-	if m.ff != nil {
-		p.ffDrop(victim.Line)
-	}
-	if victim.State == cacheDirty {
-		m.writeBacks++
-		eff := m.mem.WriteBack(p.node, victim.Line)
-		m.chargeAsync(p.node, eff, p.t)
 	}
 }
 
@@ -627,120 +539,6 @@ func (m *Machine) chargeAsync(node int, eff coma.Effect, at engine.Time) {
 		}
 	}
 	m.waitAcc = w
-}
-
-func (m *Machine) stall(p *proc, c StallClass, d engine.Time) {
-	if m.measuring && d > 0 {
-		p.st.Stall[c] += d
-	}
-}
-
-// doWrite retires a store. A store whose line is already writable (SLC
-// dirty, AM Exclusive) completes in the SLC; otherwise it needs an
-// AM-level action (allocate/upgrade/fetch-exclusive) which drains through
-// the write buffer — the processor stalls only when the buffer is full
-// (release consistency).
-func (m *Machine) doWrite(p *proc, a addrspace.Addr) {
-	if m.measuring {
-		p.st.Writes++
-	}
-	if m.sampler != nil {
-		m.sampler.NoteAccess(true)
-	}
-	l := addrspace.LineOf(a)
-	p.l1.Touch(l) // L1 is write-through into the SLC
-	if st, ok := p.slc.Touch(l); ok && st == cacheDirty {
-		p.slcRes.Claim(p.t, DefaultSLCWrite) // write-port pressure only
-		if !m.params.Policy.WriteUpdate {
-			m.invalidateSiblings(p, l)
-		}
-		return
-	}
-	// Retire completed drains, then stall if still full.
-	p.retireDrains()
-	if p.wbLen >= m.params.WriteBufferDepth {
-		head := p.wb[p.wbHead]
-		if m.rec.Enabled() {
-			m.rec.Emit(obs.Event{
-				Kind:  obs.KindWBStall,
-				At:    int64(p.t),
-				Node:  int32(p.id),
-				Peer:  -1,
-				Class: uint8(head.class),
-				Dur:   int64(head.done - p.t),
-			})
-		}
-		m.stall(p, head.class, head.done-p.t)
-		p.t = head.done
-		p.retireDrains()
-	}
-	// Compute this drain's service eagerly (drains are FIFO).
-	start := engine.Max(p.t, p.wbLast)
-	eff := m.mem.Write(p.node, l)
-	if m.sampler != nil {
-		m.sampler.NoteMiss(!eff.Hit && !eff.Cold)
-	}
-	if m.measuring {
-		m.slcMisses++
-	}
-	var w0 engine.Time
-	if m.counting {
-		w0 = m.waitAcc
-	}
-	done, class := m.charge(p.node, p.slcRes, start, eff)
-	if m.counting {
-		// Drain calibration, measured from the drain's scheduled start
-		// (not the store's issue time) so write-buffer backlog isn't
-		// double-counted as contention.
-		m.ff.noteDrain(p.id, done-start, (done-start)-(m.waitAcc-w0))
-	}
-	p.wbLast = done
-	slot := p.wbHead + p.wbLen
-	if slot >= len(p.wb) {
-		slot -= len(p.wb)
-	}
-	p.wb[slot] = wbEntry{done: done, class: class}
-	p.wbLen++
-	// Write-allocate; the SLC copy is writable only when the memory
-	// system granted exclusivity (always under invalidation; only for
-	// sole copies under the update policy).
-	st := cacheValid
-	if eff.Writable {
-		st = cacheDirty
-	}
-	m.slcInsert(p, l, st)
-	m.l1Insert(p, l)
-	if !m.params.Policy.WriteUpdate {
-		// Update-policy stores refresh sibling copies in place; the
-		// invalidation protocol kills them.
-		m.invalidateSiblings(p, l)
-	}
-}
-
-// invalidateSiblings models the free intra-node snoop: a store invalidates
-// the line in the other same-node processors' private caches.
-func (m *Machine) invalidateSiblings(p *proc, l addrspace.Line) {
-	first := p.node * m.params.ProcsPerNode
-	for i := first; i < first+m.params.ProcsPerNode; i++ {
-		if i == p.id {
-			continue
-		}
-		m.procs[i].l1.Invalidate(l)
-		m.procs[i].slc.Invalidate(l)
-		if m.ff != nil {
-			m.procs[i].ffDrop(l)
-		}
-	}
-}
-
-func (p *proc) retireDrains() {
-	for p.wbLen > 0 && p.wb[p.wbHead].done <= p.t {
-		p.wbHead++
-		if p.wbHead == len(p.wb) {
-			p.wbHead = 0
-		}
-		p.wbLen--
-	}
 }
 
 // drainAll blocks p until its write buffer is empty (release semantics),
@@ -863,6 +661,13 @@ func (m *Machine) lock(id uint32) *lockState {
 		m.locks[id] = lk
 	}
 	return lk
+}
+
+// stall charges a synchronization record's memory access to its class.
+func (m *Machine) stall(p *proc, c StallClass, d engine.Time) {
+	if m.measuring && d > 0 {
+		p.st.Stall[c] += d
+	}
 }
 
 // doAcquire attempts to take the lock; returns false if p blocked.

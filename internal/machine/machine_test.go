@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/addrspace"
@@ -317,6 +318,20 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
+// A one-node COMA machine has nowhere to relocate a line when its
+// attraction memory overflows, so construction rejects it (the CC-NUMA
+// memory system, supplied through NewWithMem, still builds one node).
+func TestOneNodeCOMARejected(t *testing.T) {
+	for _, ppn := range []int{2, 4} {
+		if _, err := New(tinyParams(ppn, ppn)); err == nil || !strings.Contains(err.Error(), "at least 2 nodes") {
+			t.Fatalf("ppn %d: New on one node = %v, want the 2-node error", ppn, err)
+		}
+	}
+	if _, err := New(tinyParams(4, 2)); err != nil {
+		t.Fatalf("two nodes: %v", err)
+	}
+}
+
 func TestProcsMismatch(t *testing.T) {
 	b := trace.NewBuilder("x", 4)
 	b.MeasureStart()
@@ -424,7 +439,8 @@ func TestDowngradeForcesReUpgrade(t *testing.T) {
 // Sibling stores invalidate same-node private copies: a read after a
 // sibling's write must go back to the AM (and see the new ownership).
 func TestSiblingInvalidation(t *testing.T) {
-	res := runTrace(t, tinyParams(2, 2), func(b *trace.Builder) {
+	// Procs 0 and 1 share node 0; node 1 only completes the machine.
+	res := runTrace(t, tinyParams(4, 2), func(b *trace.Builder) {
 		b.MeasureStart()
 		b.Read(0, lineA) // proc 0 caches the line
 		b.Barrier()
@@ -509,7 +525,9 @@ func TestSpinLockTraffic(t *testing.T) {
 // contention effect at the heart of the paper's bandwidth requirement.
 func TestDRAMQueueingMonotone(t *testing.T) {
 	meanStall := func(ppn int) float64 {
-		params := DefaultParams(4, ppn, 2048, 64*1024)
+		// Procs 0-3 stream; 4-7 only keep a second node in the machine
+		// (COMA needs two), so at ppn 4 all four streams share one DRAM.
+		params := DefaultParams(8, ppn, 2048, 64*1024)
 		params.L1Bytes = 512
 		res := runTrace(t, params, func(b *trace.Builder) {
 			// Every proc touches its own lines once (cold allocate,

@@ -206,7 +206,7 @@ func TestRingSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := steadyStateAllocs(m); got != 0 {
+	if got := steadyStateAllocs(m, false); got != 0 {
 		t.Fatalf("ring steady-state references allocate %.2f times per ref, want 0", got)
 	}
 }

@@ -167,3 +167,28 @@ func TestCOMABeatsNUMAOnMigratoryReads(t *testing.T) {
 			comaRes.ReadNodeMisses, numaRes.ReadNodeMisses)
 	}
 }
+
+// The two-node minimum is COMA's (a relocated line needs a receiver):
+// a home-based machine of one node builds and runs.
+func TestOneNodeMachine(t *testing.T) {
+	b := trace.NewBuilder("one-node", 2)
+	b.MeasureStart()
+	for p := 0; p < 2; p++ {
+		for i := 0; i < 64; i++ {
+			b.Write(p, addrspace.Addr(0x10000+i*64))
+			b.Read(p, addrspace.Addr(0x20000+i*64))
+		}
+	}
+	b.Barrier()
+	m, err := NewMachine(machine.DefaultParams(2, 2, 2048, 64*1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(b.Build(1 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reads != 128 || res.ReadNodeMisses != 0 {
+		t.Fatalf("reads %d, node misses %d; want 128 local reads", res.Reads, res.ReadNodeMisses)
+	}
+}

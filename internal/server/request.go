@@ -251,8 +251,8 @@ func (r *SimRequest) normalize() (config.Machine, error) {
 // once the referenced trace — which carries the processor count — has
 // been loaded.
 func (r *SimRequest) geometry(procs int) (config.Machine, error) {
-	if procs < 1 || procs%r.ProcsPerNode != 0 {
-		return config.Machine{}, fmt.Errorf("procs (%d) must be a positive multiple of procs_per_node (%d)", procs, r.ProcsPerNode)
+	if err := checkNodes(procs, r.ProcsPerNode); err != nil {
+		return config.Machine{}, err
 	}
 	mp, err := config.PressureByLabel(r.MP)
 	if err != nil {
@@ -291,6 +291,19 @@ func (r *SimRequest) geometry(procs int) (config.Machine, error) {
 		cfg.Fidelity.PeriodNs = r.FFPeriodNs
 	}
 	return cfg, nil
+}
+
+// checkNodes rejects a clustering that does not split procs into at
+// least two whole nodes: the COMA machine relocates a line evicted from
+// a full attraction memory to another node, so one node cannot run.
+func checkNodes(procs, ppn int) error {
+	if procs < 1 || ppn < 1 || procs%ppn != 0 {
+		return fmt.Errorf("procs (%d) must be a positive multiple of procs_per_node (%d)", procs, ppn)
+	}
+	if procs/ppn < 2 {
+		return fmt.Errorf("procs (%d) at procs_per_node %d is one node; the COMA machine needs at least 2", procs, ppn)
+	}
+	return nil
 }
 
 // CanonicalKey validates the request and returns the content address of
@@ -410,6 +423,11 @@ func (r *StudyRequest) normalize(study string) (experiments.SweepSpec, error) {
 	}
 	if len(r.ProcsPerNode) == 0 {
 		r.ProcsPerNode = []int{1, 2, 4}
+	}
+	for _, ppn := range r.ProcsPerNode {
+		if err := checkNodes(r.Procs, ppn); err != nil {
+			return experiments.SweepSpec{}, fmt.Errorf("ppn: %w", err)
+		}
 	}
 	if len(r.MP) == 0 {
 		for _, p := range config.Pressures {

@@ -346,6 +346,32 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// A one-node COMA machine cannot relocate lines, so the requests that
+// used to reach it (and crash the daemon on the first forced relocation
+// at 87% MP) are rejected up front — in sync and async simulate and in
+// sweep ppn lists — and the daemon keeps serving.
+func TestOneNodeRequestsRejected(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/simulate", `{"app":"fft","procs":8,"procs_per_node":8,"mp":"87%"}`},
+		{"/v1/simulate?async=1", `{"app":"fft","procs":8,"procs_per_node":8,"mp":"87%"}`},
+		{"/v1/studies/sweep", `{"procs":8,"apps":["fft"],"ppn":[8],"mp":["87%"]}`},
+		{"/v1/studies/sweep", `{"procs":8,"apps":["fft"],"ppn":[3],"mp":["87%"]}`},
+	} {
+		resp, err := http.Post(c.Base+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("POST %s %s: %v", tc.path, tc.body, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %s: HTTP %d, want 400", tc.path, tc.body, resp.StatusCode)
+		}
+	}
+	if err := c.Healthz(context.Background()); err != nil {
+		t.Fatalf("healthz after one-node requests: %v", err)
+	}
+}
+
 // The semaphore clamps, queues FIFO and honours context cancellation.
 func TestWeightedSemaphore(t *testing.T) {
 	w := newWeighted(2)
