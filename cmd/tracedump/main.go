@@ -2,12 +2,12 @@
 // statistics: footprint, reference counts, sharing degree and generation
 // time. Useful for inspecting and tuning the workload kernels, and as
 // the client path for comasrv trace ingestion: -upload posts each
-// generated trace in the compact wire format (TRACES.md) and prints the
-// digest to simulate it by reference.
+// generated trace in the COMATRC2 wire format (TRACES.md) and prints the
+// digest to simulate it by reference. -save and -load use the same
+// format on disk.
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -25,9 +25,8 @@ func main() {
 	flags.SetUsage("tracedump", "generate workload traces and print their summary statistics")
 	only := flag.String("app", "", "generate only this application (default: all, extras included)")
 	procs := flags.Procs(16)
-	saveDir := flag.String("save", "", "serialize generated traces into this directory")
-	compact := flag.Bool("compact", false, "serialize with -save in the compact COMATRC2 wire format instead of the boxed format")
-	load := flag.String("load", "", "summarize a serialized trace file instead of generating (both formats auto-detected)")
+	saveDir := flag.String("save", "", "serialize generated traces (COMATRC2) into this directory")
+	load := flag.String("load", "", "summarize a serialized COMATRC2 trace file instead of generating")
 	upload := flag.String("upload", "", "POST each generated trace to this comasrv base URL (e.g. http://127.0.0.1:8080) and print its digest")
 	flag.Parse()
 
@@ -59,7 +58,7 @@ func main() {
 		}
 		summarize(tr, el.Seconds())
 		if *saveDir != "" {
-			if err := saveTrace(tr, *saveDir, *compact); err != nil {
+			if err := saveTrace(tr, *saveDir); err != nil {
 				fatal(err)
 			}
 		}
@@ -73,16 +72,13 @@ func main() {
 	}
 }
 
-// loadTrace reads either serialization format, sniffed by magic prefix.
+// loadTrace reads a COMATRC2 trace file.
 func loadTrace(path string) (*trace.Trace, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if bytes.HasPrefix(raw, []byte(trace.CompactMagic)) {
-		return trace.DecodeCompact(raw)
-	}
-	return trace.ReadTrace(bytes.NewReader(raw))
+	return trace.DecodeCompact(raw)
 }
 
 func summarize(tr *trace.Trace, genSeconds float64) {
@@ -92,23 +88,11 @@ func summarize(tr *trace.Trace, genSeconds float64) {
 		s.DistinctLines, s.SharedLines, genSeconds)
 }
 
-func saveTrace(tr *trace.Trace, dir string, compact bool) error {
+func saveTrace(tr *trace.Trace, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(dir, tr.Name+".trace")
-	if compact {
-		return os.WriteFile(path, tr.EncodeCompact(), 0o644)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := tr.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(filepath.Join(dir, tr.Name+".trace"), tr.EncodeCompact(), 0o644)
 }
 
 func fatal(err error) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/trace"
@@ -11,11 +10,7 @@ import (
 // the disk cache path is equivalent to regeneration.
 func TestSerializedTraceRoundTripRun(t *testing.T) {
 	orig := MustWorkload("water-sp", 16)
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := trace.ReadTrace(&buf)
+	loaded, err := trace.DecodeCompact(orig.EncodeCompact())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package tsdb is a dependency-free in-process time-series store for
 // the daemon's own metrics: fixed-capacity ring buffers per series,
 // organized into resolution tiers (by default 10s steps for the last
-// hour and 2m steps for the last day), fed by a self-scrape loop over
-// the Prometheus text exposition the server already renders.
+// hour and 2m steps for the last day), fed by a self-scrape loop with
+// the exposition page the server builds for GET /metrics.
 //
 // Design rules (DESIGN.md §13):
 //
@@ -16,7 +16,8 @@
 //     Query takes explicit timestamps, so tests drive the store with a
 //     synthetic clock and assert byte-stable results.
 //
-// ParseExposition turns a Prometheus text page (format 0.0.4) into the
-// flat samples the store ingests, keeping the HELP/TYPE metadata so the
-// fleet-metrics merger can re-render a well-formed exposition.
+// Scrape is the one in-memory form of an exposition page: family
+// metadata plus flat samples. Text renders it as Prometheus text
+// (format 0.0.4) and ParseExposition is its inverse, used only on
+// bytes from outside the process (a peer's or comatop's scrape).
 package tsdb

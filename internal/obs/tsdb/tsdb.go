@@ -98,8 +98,10 @@ func (r *tierRing) points(from, to int64) []Point {
 	return out
 }
 
-// series is one metric stream (name + label set) across every tier.
+// series is one metric stream (name + label set) across every tier,
+// with the family its sample name belongs to.
 type series struct {
+	family string
 	name   string
 	labels string
 	tiers  []*tierRing
@@ -107,8 +109,8 @@ type series struct {
 
 // Series is the queryable view of one metric stream.
 type Series struct {
-	// Name is the metric family name, Labels the raw {…} label block
-	// from the exposition ("" when unlabeled).
+	// Name is the sample name, Labels the raw {…} label block from the
+	// exposition ("" when unlabeled).
 	Name   string
 	Labels string
 	Points []Point
@@ -153,13 +155,28 @@ func New(tiers []TierSpec) (*DB, error) {
 func (db *DB) Tiers() []TierSpec { return db.tiers }
 
 // Append records one sample at time t into every tier of the series
-// identified by name+labels, creating the series on first sight.
+// identified by name+labels, creating the series on first sight. The
+// sample name is its own family.
 func (db *DB) Append(name, labels string, t time.Time, v float64) {
+	db.append(name, name, labels, t, v)
+}
+
+// AppendScrape records every sample of a scrape at time t, each series
+// under its family (a histogram's _bucket/_sum/_count series under the
+// histogram's name).
+func (db *DB) AppendScrape(sc Scrape, t time.Time) {
+	for i, family := range sc.SampleFamilies() {
+		s := sc.Samples[i]
+		db.append(family, s.Name, s.Labels, t, s.Value)
+	}
+}
+
+func (db *DB) append(family, name, labels string, t time.Time, v float64) {
 	key := name + labels
 	db.mu.Lock()
 	s, ok := db.byKey[key]
 	if !ok {
-		s = &series{name: name, labels: labels}
+		s = &series{family: family, name: name, labels: labels}
 		for _, spec := range db.tiers {
 			s.tiers = append(s.tiers, newTierRing(spec))
 		}
@@ -172,21 +189,16 @@ func (db *DB) Append(name, labels string, t time.Time, v float64) {
 	db.mu.Unlock()
 }
 
-// AppendScrape records every sample of a parsed scrape at time t.
-func (db *DB) AppendScrape(sc Scrape, t time.Time) {
-	for _, s := range sc.Samples {
-		db.Append(s.Name, s.Labels, t, s.Value)
-	}
-}
-
 // Query returns the retained points of every selected series over
 // [now-window, now], downsampled to step. The tier chosen is the finest
 // one that both covers the window and has a step no finer than needed:
 // specifically the finest tier with Span ≥ window, falling back to the
 // coarsest tier when none spans it. When step is coarser than the
 // tier's, buckets are staircase-downsampled (last value per step wins).
-// families selects by exact family name (nil/empty = every series);
-// series appear in first-seen order, points in time order.
+// families selects series by family name or exact sample name (nil or
+// empty = every series), so a histogram family selects its
+// _bucket/_sum/_count series; series appear in first-seen order,
+// points in time order.
 func (db *DB) Query(now time.Time, window, step time.Duration, families []string) []Series {
 	window, _, tier, stepS := db.pick(window, step)
 	from, to := now.Add(-window).Unix(), now.Unix()
@@ -204,7 +216,7 @@ func (db *DB) Query(now time.Time, window, step time.Duration, families []string
 	var out []Series
 	for _, key := range db.order {
 		s := db.byKey[key]
-		if want != nil && !want[s.name] {
+		if want != nil && !want[s.family] && !want[s.name] {
 			continue
 		}
 		pts := s.tiers[tier].points(from, to)
@@ -255,7 +267,7 @@ func (db *DB) Families() []string {
 	db.mu.Lock()
 	set := make(map[string]bool)
 	for _, s := range db.byKey {
-		set[s.name] = true
+		set[s.family] = true
 	}
 	db.mu.Unlock()
 	out := make([]string, 0, len(set))

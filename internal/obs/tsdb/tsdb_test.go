@@ -221,11 +221,9 @@ up{peer="s1"} 1
 	if sc.Samples[1] != (Sample{Name: "lat_seconds_bucket", Labels: `{le="0.1"}`, Value: 3}) {
 		t.Fatalf("sample 1: %+v", sc.Samples[1])
 	}
-	if got := sc.FamilyOf("lat_seconds_count"); got != "lat_seconds" {
-		t.Fatalf("FamilyOf(lat_seconds_count) = %q", got)
-	}
-	if got := sc.FamilyOf("reqs_total"); got != "reqs_total" {
-		t.Fatalf("FamilyOf(reqs_total) = %q", got)
+	want := []string{"reqs_total", "lat_seconds", "lat_seconds", "lat_seconds", "lat_seconds", "up"}
+	if got := sc.SampleFamilies(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("SampleFamilies() = %q, want %q", got, want)
 	}
 
 	for _, bad := range []string{
@@ -238,6 +236,62 @@ up{peer="s1"} 1
 		if _, err := ParseExposition(bad); err == nil {
 			t.Errorf("ParseExposition(%q) accepted malformed input", bad)
 		}
+	}
+}
+
+// Text is the inverse of ParseExposition: a page with a family that has
+// no samples, a sample without headers, integral and %g values renders
+// back byte for byte.
+func TestTextRoundTrip(t *testing.T) {
+	text := `# HELP reqs_total Requests.
+# TYPE reqs_total counter
+reqs_total 1234567
+# HELP empty Declared but never sampled.
+# TYPE empty gauge
+# HELP lat_seconds Latency.
+# TYPE lat_seconds histogram
+lat_seconds_bucket{shard="s0",le="0.1"} 3
+lat_seconds_bucket{shard="s0",le="+Inf"} 5
+lat_seconds_sum{shard="s0"} 0.7
+lat_seconds_count{shard="s0"} 5
+# HELP mem_bytes Bytes.
+# TYPE mem_bytes gauge
+mem_bytes 1.5e+06
+mem_bytes{pool="b"} 0.25
+headerless 9
+`
+	sc, err := ParseExposition(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(sc.Text()); got != text {
+		t.Fatalf("Text() =\n%s\nwant\n%s", got, text)
+	}
+}
+
+// AppendScrape files a histogram's series under the histogram's family,
+// so a family query returns its _bucket/_sum/_count series while a
+// sample-name query still selects one series.
+func TestAppendScrapeHistogramFamily(t *testing.T) {
+	sc, err := ParseExposition("# HELP lat L.\n# TYPE lat histogram\n" +
+		"lat_bucket{le=\"+Inf\"} 2\nlat_sum 0.5\nlat_count 2\n# HELP n N.\n# TYPE n counter\nn 1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := mustNew(t, nil)
+	db.AppendScrape(sc, clk(0))
+	var keys []string
+	for _, s := range db.Query(clk(0), time.Minute, 0, []string{"lat"}) {
+		keys = append(keys, s.Key())
+	}
+	if want := []string{`lat_bucket{le="+Inf"}`, "lat_sum", "lat_count"}; !reflect.DeepEqual(keys, want) {
+		t.Fatalf("family query = %q, want %q", keys, want)
+	}
+	if got := db.Query(clk(0), time.Minute, 0, []string{"lat_count"}); len(got) != 1 || got[0].Points[0].V != 2 {
+		t.Fatalf("sample-name query = %+v", got)
+	}
+	if fams := db.Families(); !reflect.DeepEqual(fams, []string{"lat", "n"}) {
+		t.Fatalf("Families() = %v", fams)
 	}
 }
 

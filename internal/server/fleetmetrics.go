@@ -42,17 +42,17 @@ type FleetMetricsView struct {
 	Fleet    map[string]float64 `json:"fleet"`
 }
 
-// shardScrape is one member's scrape with the parsed page retained for
-// the Prometheus re-rendering.
+// shardScrape is one member's scrape with the page retained for the
+// merged Prometheus rendering.
 type shardScrape struct {
 	ShardMetrics
 	scrape tsdb.Scrape
 }
 
-// scrapeFleet scrapes every member's /metrics — self in-process, peers
-// over HTTP with the per-peer timeout — with bounded fan-out. Results
-// are in canonical member order; a failed peer comes back Up=false with
-// the error recorded.
+// scrapeFleet scrapes every member's /metrics page — self in-process as
+// samples, peers over HTTP with the per-peer timeout — with bounded
+// fan-out. Results are in canonical member order; a failed peer comes
+// back Up=false with the error recorded.
 func (s *Server) scrapeFleet(ctx context.Context) []shardScrape {
 	f := s.fleet
 	members := f.ring.Members()
@@ -68,26 +68,24 @@ func (s *Server) scrapeFleet(ctx context.Context) []shardScrape {
 			defer func() { <-sem }()
 			start := time.Now()
 			var (
+				sc   tsdb.Scrape
 				text []byte
 				err  error
 			)
 			if out[i].ID == f.self.ID {
-				text = s.renderProm()
-			} else {
-				text, err = s.scrapePeer(ctx, url)
+				sc = s.promScrape()
+			} else if text, err = s.scrapePeer(ctx, url); err == nil {
+				sc, err = tsdb.ParseExposition(string(text))
 			}
 			out[i].ScrapeMs = float64(time.Since(start)) / float64(time.Millisecond)
 			if err == nil {
-				var sc tsdb.Scrape
-				if sc, err = tsdb.ParseExposition(string(text)); err == nil {
-					out[i].Up = true
-					out[i].scrape = sc
-					samples := make(map[string]float64, len(sc.Samples))
-					for _, sa := range sc.Samples {
-						samples[sa.Key()] = sa.Value
-					}
-					out[i].Samples = samples
+				out[i].Up = true
+				out[i].scrape = sc
+				samples := make(map[string]float64, len(sc.Samples))
+				for _, sa := range sc.Samples {
+					samples[sa.Key()] = sa.Value
 				}
+				out[i].Samples = samples
 			}
 			if err != nil {
 				out[i].Error = err.Error()
@@ -141,7 +139,7 @@ func (s *Server) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 	scrapes := s.scrapeFleet(r.Context())
 	if r.URL.Query().Get("format") == "prom" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.Write(renderFleetProm(scrapes))
+		w.Write(mergeFleetScrape(scrapes).Text())
 		return
 	}
 	view := FleetMetricsView{
@@ -165,42 +163,41 @@ func (s *Server) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
-// renderFleetProm merges per-shard scrapes into one well-formed
-// exposition: each family's HELP/TYPE headers once, then every up
-// shard's samples in canonical member order with a shard label
-// injected, plus a comasrv_fleet_shard_up gauge covering down members.
-// Histogram series stay per-shard (distinguished by the shard label),
-// so cumulative bucket counts remain monotone within every series —
+// mergeFleetScrape merges per-shard scrapes into one page: a
+// comasrv_fleet_shard_up gauge covering every member first, then each
+// family once, in name order, with every up shard's samples in
+// canonical member order and a shard label injected. Histogram series
+// stay per-shard (distinguished by the shard label), so cumulative
+// bucket counts remain monotone within every series —
 // LintExposition-checked in tests.
-func renderFleetProm(scrapes []shardScrape) []byte {
-	type familyGroup struct {
-		meta tsdb.Family
-		// rows are "name{labels} value" fragments in emission order.
-		rows []string
+func mergeFleetScrape(scrapes []shardScrape) tsdb.Scrape {
+	const upName = "comasrv_fleet_shard_up"
+	out := tsdb.Scrape{Families: []tsdb.Family{{
+		Name: upName, Help: "Whether the shard's /metrics scrape succeeded (1 = up).", Type: "gauge",
+	}}}
+	for _, sh := range scrapes {
+		up := 0.0
+		if sh.Up {
+			up = 1
+		}
+		out.Samples = append(out.Samples, tsdb.Sample{Name: upName, Labels: injectShardLabel("", sh.ID), Value: up})
 	}
-	var order []string
-	groups := make(map[string]*familyGroup)
 
+	type familyGroup struct {
+		meta    tsdb.Family
+		samples []tsdb.Sample
+	}
+	groups := make(map[string]*familyGroup)
+	var order []string
 	for _, sh := range scrapes {
 		if !sh.Up {
 			continue
 		}
-		hist := make(map[string]bool)
 		metas := make(map[string]tsdb.Family, len(sh.scrape.Families))
 		for _, f := range sh.scrape.Families {
 			metas[f.Name] = f
-			if f.Type == "histogram" {
-				hist[f.Name] = true
-			}
 		}
-		for _, sa := range sh.scrape.Samples {
-			fam := sa.Name
-			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-				if base, ok := strings.CutSuffix(sa.Name, suffix); ok && hist[base] {
-					fam = base
-					break
-				}
-			}
+		for i, fam := range sh.scrape.SampleFamilies() {
 			g := groups[fam]
 			if g == nil {
 				g = &familyGroup{meta: metas[fam]}
@@ -210,30 +207,17 @@ func renderFleetProm(scrapes []shardScrape) []byte {
 				groups[fam] = g
 				order = append(order, fam)
 			}
-			g.rows = append(g.rows, fmt.Sprintf("%s%s %g", sa.Name, injectShardLabel(sa.Labels, sh.ID), sa.Value))
+			sa := sh.scrape.Samples[i]
+			sa.Labels = injectShardLabel(sa.Labels, sh.ID)
+			g.samples = append(g.samples, sa)
 		}
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "# HELP comasrv_fleet_shard_up Whether the shard's /metrics scrape succeeded (1 = up).\n")
-	fmt.Fprintf(&b, "# TYPE comasrv_fleet_shard_up gauge\n")
-	for _, sh := range scrapes {
-		up := 0
-		if sh.Up {
-			up = 1
-		}
-		fmt.Fprintf(&b, "comasrv_fleet_shard_up{shard=%q} %d\n", sh.ID, up)
 	}
 	sort.Strings(order)
 	for _, fam := range order {
-		g := groups[fam]
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", fam, g.meta.Help, fam, g.meta.Type)
-		for _, row := range g.rows {
-			b.WriteString(row)
-			b.WriteByte('\n')
-		}
+		out.Families = append(out.Families, groups[fam].meta)
+		out.Samples = append(out.Samples, groups[fam].samples...)
 	}
-	return []byte(b.String())
+	return out
 }
 
 // injectShardLabel prepends shard="<id>" to a raw label block.

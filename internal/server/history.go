@@ -35,19 +35,13 @@ func historyTiers(scrapeInterval time.Duration) []tsdb.TierSpec {
 	}
 }
 
-// scrapeSelf takes one self-scrape at time t: the same exposition GET
-// /metrics serves is parsed and appended to the history store, and the
-// sample set is published to the live-stream subscribers as a delta
-// against the previous scrape. Tests drive it directly with a synthetic
-// clock; the background loop drives it with the wall clock.
+// scrapeSelf takes one self-scrape at time t: the page GET /metrics
+// serves is appended to the history store as samples, and the sample
+// set is published to the live-stream subscribers as a delta against
+// the previous scrape. Tests drive it directly with a synthetic clock;
+// the background loop drives it with the wall clock.
 func (s *Server) scrapeSelf(t time.Time) {
-	sc, err := tsdb.ParseExposition(string(s.renderProm()))
-	if err != nil {
-		// The exposition is produced in-process and lint-tested; a parse
-		// failure is a bug, not an operational condition.
-		s.logger.Error("self-scrape parse failed", "err", err)
-		return
-	}
+	sc := s.promScrape()
 	s.history.AppendScrape(sc, t)
 	s.stream.publish(t, sc.Samples)
 }
@@ -88,8 +82,9 @@ type History struct {
 }
 
 // handleMetricsHistory serves GET /v1/metrics/history: the self-scraped
-// time series, selected by ?family= (comma-separated family names,
-// empty = all), over ?window= at ?step= resolution.
+// time series, selected by ?family= (comma-separated family or sample
+// names, empty = all; a histogram family selects its
+// _bucket/_sum/_count series), over ?window= at ?step= resolution.
 func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	window, err := optDuration(q.Get("window"), 0)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -128,4 +129,43 @@ func TestScrapeLoopConfig(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	_ = srv
+}
+
+// ?family= takes family names: a histogram family selects its
+// _bucket/_sum/_count series, and a sample name still selects exactly
+// its own series.
+func TestMetricsHistoryHistogramFamily(t *testing.T) {
+	srv, c := newTestServer(t, Config{ScrapeInterval: -1})
+	clk := newHistClock(srv)
+	ctx := context.Background()
+	if err := c.Healthz(ctx); err != nil {
+		t.Fatal(err)
+	}
+	srv.scrapeSelf(clk.t)
+
+	const fam = "comasrv_request_duration_seconds"
+	var want []string
+	for _, b := range durationBuckets {
+		want = append(want, fmt.Sprintf(`%s_bucket{le="%g"}`, fam, b))
+	}
+	want = append(want, fam+`_bucket{le="+Inf"}`, fam+"_sum", fam+"_count")
+	h, err := c.MetricsHistory(ctx, time.Hour, 0, []string{fam})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, s := range h.Series {
+		got = append(got, s.Name+s.Labels)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("family %s selects %q, want %q", fam, got, want)
+	}
+
+	h, err = c.MetricsHistory(ctx, time.Hour, 0, []string{fam + "_count"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Series) != 1 || h.Series[0].Name != fam+"_count" || h.Series[0].Points[0][1] < 1 {
+		t.Fatalf("sample name %s_count selects %+v, want its one series", fam, h.Series)
+	}
 }

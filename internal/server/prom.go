@@ -11,13 +11,16 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/tsdb"
 )
 
-// Prometheus text exposition (format 0.0.4), hand-rolled: the repo is
-// stdlib-only, and the daemon needs exactly counters, gauges and two
-// fixed-bucket histograms — a page of code, not a dependency. GET
-// /metrics serves the same underlying state as the JSON /v1/metrics,
-// plus the latency/queue-wait histograms only this endpoint carries.
+// Prometheus exposition, hand-rolled: the repo is stdlib-only, and the
+// daemon needs exactly counters, gauges and two fixed-bucket histograms
+// — a page of code, not a dependency. The page is built once as a
+// tsdb.Scrape; GET /metrics serves its text, the self-scrape loop and
+// the fleet merge take the samples directly. It carries the same
+// underlying state as the JSON /v1/metrics, plus the latency/queue-wait
+// histograms only this endpoint carries.
 
 // durationBuckets are the shared latency bucket bounds in seconds:
 // cached hits land in the millisecond buckets, simulations in the
@@ -63,40 +66,44 @@ func (h *histogram) snapshot() (cum []int64, sum float64, total int64) {
 	return cum, h.sum, h.total
 }
 
-// promWriter accumulates exposition text with the HELP/TYPE bookkeeping.
-type promWriter struct {
-	b strings.Builder
+// promPage builds an exposition page family by family.
+type promPage struct {
+	tsdb.Scrape
 }
 
-func (p *promWriter) header(name, help, typ string) {
-	fmt.Fprintf(&p.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+func (p *promPage) header(name, help, typ string) {
+	p.Families = append(p.Families, tsdb.Family{Name: name, Help: help, Type: typ})
 }
 
-func (p *promWriter) counter(name, help string, v int64) {
+func (p *promPage) sample(name, labels string, v float64) {
+	p.Samples = append(p.Samples, tsdb.Sample{Name: name, Labels: labels, Value: v})
+}
+
+func (p *promPage) counter(name, help string, v int64) {
 	p.header(name, help, "counter")
-	fmt.Fprintf(&p.b, "%s %d\n", name, v)
+	p.sample(name, "", float64(v))
 }
 
-func (p *promWriter) gauge(name, help string, v float64) {
+func (p *promPage) gauge(name, help string, v float64) {
 	p.header(name, help, "gauge")
-	fmt.Fprintf(&p.b, "%s %g\n", name, v)
+	p.sample(name, "", v)
 }
 
-// labeled emits one sample with a single label (caller emits the header
+// labeled adds one sample with a single label (caller adds the header
 // once and the samples in a fixed order).
-func (p *promWriter) labeled(name, label, value string, v int64) {
-	fmt.Fprintf(&p.b, "%s{%s=%q} %d\n", name, label, value, v)
+func (p *promPage) labeled(name, label, value string, v int64) {
+	p.sample(name, "{"+label+"="+strconv.Quote(value)+"}", float64(v))
 }
 
-func (p *promWriter) histogram(name, help string, h *histogram) {
+func (p *promPage) histogram(name, help string, h *histogram) {
 	cum, sum, total := h.snapshot()
 	p.header(name, help, "histogram")
 	for i, bound := range h.bounds {
-		fmt.Fprintf(&p.b, "%s_bucket{le=\"%g\"} %d\n", name, bound, cum[i])
+		p.sample(name+"_bucket", `{le="`+strconv.FormatFloat(bound, 'g', -1, 64)+`"}`, float64(cum[i]))
 	}
-	fmt.Fprintf(&p.b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum[len(cum)-1])
-	fmt.Fprintf(&p.b, "%s_sum %g\n", name, sum)
-	fmt.Fprintf(&p.b, "%s_count %d\n", name, total)
+	p.sample(name+"_bucket", `{le="+Inf"}`, float64(cum[len(cum)-1]))
+	p.sample(name+"_sum", "", sum)
+	p.sample(name+"_count", "", float64(total))
 }
 
 // busClassNames labels the bus occupancy classes (coma.TxnClass order).
@@ -104,15 +111,15 @@ var busClassNames = [3]string{"read", "write", "replace"}
 
 func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write(s.renderProm())
+	w.Write(s.promScrape().Text())
 }
 
-// renderProm produces the full Prometheus text exposition. It backs GET
-// /metrics, the self-scrape loop that feeds the history store, and the
-// self slice of the fleet-wide /v1/fleet/metrics merge.
-func (s *Server) renderProm() []byte {
+// promScrape builds the full exposition page. It backs GET /metrics,
+// the self-scrape loop that feeds the history store and live stream,
+// and the self slice of the fleet-wide /v1/fleet/metrics merge.
+func (s *Server) promScrape() tsdb.Scrape {
 	c := &s.counters
-	var p promWriter
+	var p promPage
 
 	// Service counters.
 	p.counter("comasrv_requests_total", "HTTP requests received.", c.requests.Load())
@@ -150,8 +157,8 @@ func (s *Server) renderProm() []byte {
 	// per-shard dashboard can label every series by shard.
 	if f := s.fleet; f != nil {
 		p.header("comasrv_shard_info", "Fleet shard identity (value is always 1).", "gauge")
-		fmt.Fprintf(&p.b, "comasrv_shard_info{shard_id=%q,members=\"%d\",virtual_nodes=\"%d\"} 1\n",
-			f.self.ID, f.ring.Len(), f.ring.VirtualNodes())
+		p.sample("comasrv_shard_info", fmt.Sprintf("{shard_id=%q,members=\"%d\",virtual_nodes=\"%d\"}",
+			f.self.ID, f.ring.Len(), f.ring.VirtualNodes()), 1)
 		p.gauge("comasrv_fleet_members", "Shards in the configured ring membership.", float64(f.ring.Len()))
 		peers := f.peerView()
 		p.header("comasrv_peer_reachable", "Peer reachability as probed by this shard (1 = reachable).", "gauge")
@@ -206,120 +213,77 @@ func (s *Server) renderProm() []byte {
 	// Identity.
 	p.gauge("comasrv_uptime_seconds", "Seconds since the server started.", time.Since(s.started).Seconds())
 	p.header("comasrv_build_info", "Build identity (value is always 1).", "gauge")
-	fmt.Fprintf(&p.b, "comasrv_build_info{go_version=%q,revision=%q} 1\n", runtime.Version(), buildID.rev)
+	p.sample("comasrv_build_info", fmt.Sprintf("{go_version=%q,revision=%q}", runtime.Version(), buildID.rev), 1)
 
-	return []byte(p.b.String())
+	return p.Scrape
 }
 
 // LintExposition validates a Prometheus text exposition (format 0.0.4):
-// every sample belongs to a family with HELP and TYPE headers, sample
-// values parse, histogram bucket counts are cumulative (monotonically
-// non-decreasing) and end in a +Inf bucket matching _count. Histogram
-// state is tracked per label set (minus the le pair), so a family that
-// carries one histogram per shard — the merged /v1/fleet/metrics
-// rendering — is linted series by series. The docs conformance test and
-// the CI boot smoke run it against a live /metrics scrape so a
-// malformed exposition fails the build, not the scrape.
+// the page parses, every family has HELP and a known TYPE, every sample
+// belongs to a declared family, and histogram bucket counts are
+// cumulative (monotonically non-decreasing) and end in a +Inf bucket
+// matching _count. Histogram state is tracked per label set (minus the
+// le pair), so a family that carries one histogram per shard — the
+// merged /v1/fleet/metrics rendering — is linted series by series. The
+// docs conformance test and the CI boot smoke run it against a live
+// /metrics scrape so a malformed exposition fails the build, not the
+// scrape.
 func LintExposition(body string) error {
-	help := make(map[string]bool)
-	typ := make(map[string]string)
+	sc, err := tsdb.ParseExposition(body)
+	if err != nil {
+		return err
+	}
+	typ := make(map[string]string, len(sc.Families))
+	for _, f := range sc.Families {
+		switch f.Type {
+		case "counter", "gauge", "histogram", "summary", "untyped":
+		default:
+			return fmt.Errorf("family %s: unknown or missing TYPE %q", f.Name, f.Type)
+		}
+		typ[f.Name] = f.Type
+	}
 	type histState struct {
-		last     float64
-		inf      float64
-		hasInf   bool
-		hasCount bool
+		last, inf        float64
+		hasInf, hasCount bool
 	}
 	hists := make(map[string]*histState)
-
-	for ln, line := range strings.Split(body, "\n") {
-		lineNo := ln + 1
-		if line == "" {
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
-			name, _, found := strings.Cut(rest, " ")
-			if !found || name == "" {
-				return fmt.Errorf("line %d: malformed HELP", lineNo)
-			}
-			help[name] = true
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			f := strings.Fields(rest)
-			if len(f) != 2 {
-				return fmt.Errorf("line %d: malformed TYPE", lineNo)
-			}
-			switch f[1] {
-			case "counter", "gauge", "histogram", "summary", "untyped":
-			default:
-				return fmt.Errorf("line %d: unknown type %q", lineNo, f[1])
-			}
-			typ[f[0]] = f[1]
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue // comment
-		}
-
-		// Sample: name[{labels}] value
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			return fmt.Errorf("line %d: no value: %q", lineNo, line)
-		}
-		v, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil {
-			return fmt.Errorf("line %d: bad value %q", lineNo, line[sp+1:])
-		}
-		name := line[:sp]
-		labels := ""
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			labels = name[i:]
-			name = name[:i]
-		}
-		family := name
-		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			if base, ok := strings.CutSuffix(name, suffix); ok && typ[base] == "histogram" {
-				family = base
-				break
-			}
-		}
-		if !help[family] {
-			return fmt.Errorf("line %d: sample %s has no HELP header", lineNo, name)
-		}
+	for i, family := range sc.SampleFamilies() {
+		sa := sc.Samples[i]
 		if typ[family] == "" {
-			return fmt.Errorf("line %d: sample %s has no TYPE header", lineNo, name)
+			return fmt.Errorf("sample %s has no HELP/TYPE headers", sa.Name)
 		}
-		if typ[family] == "histogram" {
-			group := family + stripLabel(labels, "le")
-			st := hists[group]
-			if st == nil {
-				st = &histState{}
-				hists[group] = st
+		if typ[family] != "histogram" {
+			continue
+		}
+		group := family + stripLabel(sa.Labels, "le")
+		st := hists[group]
+		if st == nil {
+			st = &histState{}
+			hists[group] = st
+		}
+		switch sa.Name {
+		case family + "_bucket":
+			if sa.Value < st.last {
+				return fmt.Errorf("histogram %s bucket counts decrease (%g after %g)", group, sa.Value, st.last)
 			}
-			switch {
-			case strings.HasSuffix(name, "_bucket"):
-				if v < st.last {
-					return fmt.Errorf("line %d: histogram %s bucket counts decrease (%g after %g)", lineNo, group, v, st.last)
-				}
-				st.last = v
-				if strings.Contains(labels, `le="+Inf"`) {
-					st.hasInf = true
-					st.inf = v
-				}
-			case strings.HasSuffix(name, "_count"):
-				st.hasCount = true
-				if st.hasInf && v != st.inf {
-					return fmt.Errorf("histogram %s: _count %g != +Inf bucket %g", group, v, st.inf)
-				}
+			st.last = sa.Value
+			if strings.Contains(sa.Labels, `le="+Inf"`) {
+				st.hasInf = true
+				st.inf = sa.Value
+			}
+		case family + "_count":
+			st.hasCount = true
+			if st.hasInf && sa.Value != st.inf {
+				return fmt.Errorf("histogram %s: _count %g != +Inf bucket %g", group, sa.Value, st.inf)
 			}
 		}
 	}
-	for family, st := range hists {
+	for group, st := range hists {
 		if !st.hasInf {
-			return fmt.Errorf("histogram %s has no +Inf bucket", family)
+			return fmt.Errorf("histogram %s has no +Inf bucket", group)
 		}
 		if !st.hasCount {
-			return fmt.Errorf("histogram %s has no _count", family)
+			return fmt.Errorf("histogram %s has no _count", group)
 		}
 	}
 	return nil
@@ -327,40 +291,21 @@ func LintExposition(body string) error {
 
 // stripLabel removes one name="value" pair from a label block, keeping
 // the rest intact, so histogram series can be grouped by their identity
-// labels without the per-bucket le. Quoted values may contain escaped
-// quotes (the exposition uses Go-style %q quoting).
+// labels without the per-bucket le. Values are Go-quoted (%q), so they
+// may contain escaped quotes and commas; a block that does not scan is
+// returned unchanged.
 func stripLabel(labels, drop string) string {
-	if labels == "" {
-		return ""
-	}
-	inner := strings.TrimSuffix(strings.TrimPrefix(labels, "{"), "}")
 	var kept []string
-	for i := 0; i < len(inner); {
-		eq := strings.IndexByte(inner[i:], '=')
-		if eq < 0 {
-			kept = append(kept, inner[i:])
-			break
+	for rest := strings.TrimSuffix(strings.TrimPrefix(labels, "{"), "}"); rest != ""; {
+		name, val, _ := strings.Cut(rest, "=")
+		q, err := strconv.QuotedPrefix(val)
+		if err != nil {
+			return labels
 		}
-		name := inner[i : i+eq]
-		j := i + eq + 1 // at the opening quote
-		if j < len(inner) && inner[j] == '"' {
-			j++
-			for j < len(inner) && inner[j] != '"' {
-				if inner[j] == '\\' {
-					j++
-				}
-				j++
-			}
-			j++ // past the closing quote
-		}
-		pair := inner[i:min(j, len(inner))]
 		if name != drop {
-			kept = append(kept, pair)
+			kept = append(kept, name+"="+q)
 		}
-		i = j
-		if i < len(inner) && inner[i] == ',' {
-			i++
-		}
+		rest = strings.TrimPrefix(val[len(q):], ",")
 	}
 	if len(kept) == 0 {
 		return ""

@@ -2,11 +2,22 @@ package server
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/fleet"
+	"repro/internal/obs"
+	"repro/internal/obs/tsdb"
+	"repro/internal/server/store"
 )
 
 func TestHistogram(t *testing.T) {
@@ -107,5 +118,117 @@ func TestLintExpositionRejects(t *testing.T) {
 	}
 	if err := LintExposition(fmt.Sprintf("# HELP g x\n# TYPE g gauge\ng %g\n", 1.5)); err != nil {
 		t.Errorf("lint rejected valid exposition: %v", err)
+	}
+}
+
+// The text rendering loses nothing: parsing a page's text gives back
+// the page, both for one server's page and for a merged 3-shard page
+// whose peer slices were themselves scraped over HTTP.
+func TestExpositionTextRoundTrip(t *testing.T) {
+	srvs, clients := newFleetCluster(t, 3, func(i int, cfg *Config) {
+		cfg.ScrapeInterval = -1
+	})
+	ctx := context.Background()
+	for _, c := range clients {
+		if err := c.Healthz(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shards := srvs[0].scrapeFleet(ctx)
+	for _, sh := range shards {
+		if !sh.Up {
+			t.Fatalf("shard %s down: %s", sh.ID, sh.Error)
+		}
+	}
+	for name, sc := range map[string]tsdb.Scrape{
+		"server": srvs[1].promScrape(),
+		"merged": mergeFleetScrape(shards),
+	} {
+		text := sc.Text()
+		got, err := tsdb.ParseExposition(string(text))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, sc) {
+			t.Fatalf("%s page does not survive its text:\n%s", name, text)
+		}
+		if err := LintExposition(string(text)); err != nil {
+			t.Fatalf("%s page fails lint: %v", name, err)
+		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite golden files in testdata/")
+
+// GET /metrics is pinned byte for byte for a fixed server state: a
+// two-member fleet shard with a counter past 1e6 (printed as an
+// integer), a gauge past 1e6 (printed in %g exponent form), histogram
+// sums that are not integral, and simulator aggregates. Only the
+// wall-clock uptime and the build identity are masked.
+func TestPromExpositionGolden(t *testing.T) {
+	srv, err := New(Config{
+		Jobs:           3,
+		StoreDir:       t.TempDir(),
+		ScrapeInterval: -1,
+		Fleet: &FleetConfig{
+			ShardID: "s0",
+			Members: []fleet.Member{
+				{ID: "s0", URL: "http://127.0.0.1:1"},
+				{ID: "s1", URL: "http://127.0.0.1:2"},
+			},
+			ProbeInterval: -1,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+
+	c := &srv.counters
+	c.requests.Store(42)
+	c.cacheHits.Store(17)
+	c.simulatedExecNs.Store(123_456_789_012)
+	c.activeFlights.Store(1_500_000)
+	c.peerFillHits.Store(3)
+	c.replicationPushed.Store(2)
+	if err := srv.store.Put(store.Key{1}, make([]byte, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{0.0004, 0.003, 0.02, 1.75, 90} {
+		srv.reqDur.Observe(v)
+	}
+	srv.queueWait.Observe(0.125)
+	srv.obsSink.c.Kinds[obs.KindTransition] = 9
+	srv.obsSink.c.Transitions[0][3] = 9
+	srv.obsSink.c.BusOccNs = [3]int64{2_500_000, 1234, 56}
+	srv.obsSink.c.WBStallNs = 789
+
+	rec := httptest.NewRecorder()
+	srv.handlePromMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	lines := strings.Split(rec.Body.String(), "\n")
+	for i, line := range lines {
+		for _, masked := range []string{"comasrv_uptime_seconds ", "comasrv_build_info{"} {
+			if strings.HasPrefix(line, masked) {
+				lines[i] = masked + "<masked>"
+			}
+		}
+	}
+	got := strings.Join(lines, "\n")
+
+	path := filepath.Join("testdata", "metrics.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("/metrics differs from %s:\n%s", path, got)
 	}
 }
