@@ -46,7 +46,7 @@ func main() {
 	jobTTL := flag.Duration("job-ttl", 0, "evict finished async jobs after this long (0 = 15m)")
 	maxTraceBytes := flag.Int64("max-trace-bytes", 0, "reject trace uploads larger than this (0 = 8 MiB)")
 	maxTraces := flag.Int("max-traces", 0, "bound the uploaded-trace index (0 = 256)")
-	scrapeInterval := flag.Duration("scrape-interval", 0, "self-scrape period feeding /v1/metrics/history and the SSE stream (0 = 10s, negative disables)")
+	scrapeInterval := flag.Duration("scrape-interval", 0, "self-scrape period feeding /v1/metrics/history (0 = 10s, negative disables)")
 	slowThreshold := flag.Duration("slow-threshold", 0, "log requests slower than this at Warn level (0 disables)")
 	slowKeep := flag.Int("slow-keep", 0, "slow-request exemplars retained for /v1/debug/slow (0 = 32)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate listener (empty disables; never exposed on -addr)")

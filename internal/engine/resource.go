@@ -2,7 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"strings"
+
+	"repro/internal/stats"
 )
 
 // Time is a simulation timestamp or duration in nanoseconds.
@@ -28,67 +29,8 @@ func Max(a, b Time) Time {
 
 // waitBounds are the wait-histogram bucket upper bounds (inclusive, ns):
 // zero-wait claims first, then doublings spanning one bus phase up to deep
-// queueing. The final bucket of WaitHist is the unbounded overflow.
-var waitBounds = [...]Time{0, 20, 40, 80, 160, 320, 640, 1280, 2560, 5120}
-
-// WaitHist is a histogram of per-claim queueing delays (time between a
-// request's arrival and its service start).
-type WaitHist struct {
-	Counts [len(waitBounds) + 1]int64
-}
-
-func (h *WaitHist) add(w Time) {
-	for i, b := range waitBounds {
-		if w <= b {
-			h.Counts[i]++
-			return
-		}
-	}
-	h.Counts[len(waitBounds)]++
-}
-
-// WaitBuckets returns the bucket upper bounds in nanoseconds (the final
-// overflow bucket is unbounded).
-func WaitBuckets() []int64 {
-	out := make([]int64, len(waitBounds))
-	for i, b := range waitBounds {
-		out[i] = int64(b)
-	}
-	return out
-}
-
-// Total returns the number of recorded claims.
-func (h *WaitHist) Total() int64 {
-	var n int64
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// String renders the non-empty buckets compactly, e.g.
-// "0ns:90.0% <=40ns:10.0%".
-func (h *WaitHist) String() string {
-	total := h.Total()
-	if total == 0 {
-		return "no claims"
-	}
-	var sb strings.Builder
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		label := "<=inf"
-		switch {
-		case i == 0:
-			label = "0ns"
-		case i < len(waitBounds):
-			label = fmt.Sprintf("<=%dns", int64(waitBounds[i]))
-		}
-		fmt.Fprintf(&sb, "%s:%.1f%% ", label, 100*float64(c)/float64(total))
-	}
-	return strings.TrimSpace(sb.String())
-}
+// queueing, then the histogram's unbounded overflow bucket.
+var waitBounds = []int64{0, 20, 40, 80, 160, 320, 640, 1280, 2560, 5120}
 
 // Resource models a unit-capacity, FCFS-served hardware resource such as a
 // DRAM bank, a node controller or a shared bus. A request arriving at time
@@ -100,16 +42,14 @@ type Resource struct {
 	freeAt Time
 	// busyTotal accumulates occupied time, for utilization reporting.
 	busyTotal Time
-	claims    int64
-	// waitTotal and waits profile queueing delay: how long claims sat
-	// behind earlier work before starting service.
-	waitTotal Time
-	waits     WaitHist
+	// waits profiles queueing delay, how long claims sat behind earlier
+	// work before starting service; it also counts the claims.
+	waits stats.Hist
 }
 
 // NewResource returns an idle resource with the given diagnostic name.
 func NewResource(name string) *Resource {
-	return &Resource{name: name}
+	return &Resource{name: name, waits: stats.NewHist(waitBounds)}
 }
 
 // Name returns the diagnostic name given at construction.
@@ -125,9 +65,7 @@ func (r *Resource) Claim(at, occ Time) (start Time) {
 	start = Max(at, r.freeAt)
 	r.freeAt = start + occ
 	r.busyTotal += occ
-	r.claims++
-	r.waitTotal += start - at
-	r.waits.add(start - at)
+	r.waits.Add(int64(start - at))
 	return start
 }
 
@@ -142,19 +80,17 @@ func (r *Resource) FreeAt() Time { return r.freeAt }
 func (r *Resource) BusyTotal() Time { return r.busyTotal }
 
 // Claims reports the number of Claim calls since construction or Reset.
-func (r *Resource) Claims() int64 { return r.claims }
+func (r *Resource) Claims() int64 { return r.waits.Total() }
 
 // WaitTotal reports total queueing delay since construction or Reset.
-func (r *Resource) WaitTotal() Time { return r.waitTotal }
+func (r *Resource) WaitTotal() Time { return Time(r.waits.Sum) }
 
 // Waits returns the queueing-delay histogram since construction or Reset.
-func (r *Resource) Waits() WaitHist { return r.waits }
+func (r *Resource) Waits() stats.Hist { return r.waits }
 
 // Reset clears utilization counters but leaves the schedule (freeAt)
 // intact, so statistics can be restricted to a measured region.
 func (r *Resource) Reset() {
 	r.busyTotal = 0
-	r.claims = 0
-	r.waitTotal = 0
-	r.waits = WaitHist{}
+	r.waits = stats.NewHist(waitBounds)
 }

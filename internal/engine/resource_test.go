@@ -58,19 +58,16 @@ func TestWaitHistOverflowAndString(t *testing.T) {
 	r.Claim(0, 10000)
 	r.Claim(0, 10) // waits 10000ns: overflow bucket
 	h := r.Waits()
-	if h.Counts[len(h.Counts)-1] != 1 {
+	if h.Counts[len(waitBounds)] != 1 {
 		t.Fatalf("overflow not counted: %v", h.Counts)
 	}
 	s := h.String()
 	if !strings.Contains(s, "0ns:50.0%") || !strings.Contains(s, "<=inf:50.0%") {
 		t.Fatalf("String = %q", s)
 	}
-	var empty WaitHist
-	if empty.String() != "no claims" {
-		t.Fatalf("empty String = %q", empty.String())
-	}
-	if len(WaitBuckets()) != len(h.Counts)-1 {
-		t.Fatal("WaitBuckets/Counts length mismatch")
+	r.Reset()
+	if empty := r.Waits(); empty.String() != "empty" || empty.Total() != 0 {
+		t.Fatalf("after Reset: String = %q, total %d", empty.String(), empty.Total())
 	}
 }
 

@@ -73,6 +73,24 @@ func TestInspectJobsInvariant(t *testing.T) {
 	}
 }
 
+// The inspect tables, wait-distribution column included, for the two
+// cmd/inspect runs CI checks: fft at 8 processors on the bus (1 and 4
+// processors per node) and on a 2-cluster ring, all at 50% MP.
+func TestInspectGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation matrix in -short mode")
+	}
+	ring := config.Baseline(2, config.MP50)
+	ring.Topology = "ring"
+	ring.Clusters = 2
+	cfgs := []config.Machine{config.Baseline(1, config.MP50), config.Baseline(4, config.MP50), ring}
+	rows, err := golden8().Inspect([]string{"fft"}, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "inspect.golden", renderAll(t, rows))
+}
+
 func TestCfgLabel(t *testing.T) {
 	c := config.Baseline(4, config.MP87)
 	if got := CfgLabel(c); got != "4p/node mp=87% 4way" {

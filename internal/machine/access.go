@@ -195,8 +195,7 @@ func (m *Machine) account(p *proc, o *outcome) {
 			p.st.Writes++
 		} else {
 			p.st.Reads++
-			m.reads++
-			m.latency.add(o.lat)
+			m.latency.Add(int64(o.lat))
 			if o.lat > 0 {
 				p.st.Stall[o.class] += o.lat
 			}

@@ -215,7 +215,7 @@ func (m *Machine) ffOpen(t engine.Time, ep int64) {
 		f.winActual[c], f.winCf[c], f.winN[c] = 0, 0, 0
 	}
 	f.winWA, f.winWCf, f.winWN = 0, 0, 0
-	f.snapReads = m.reads
+	f.snapReads = m.latency.Total()
 	f.snapNodeMisses = m.readNodeMisses
 	f.snapSLC = m.slcMisses
 	f.snapBus = m.busOcc[0] + m.busOcc[1] + m.busOcc[2]
@@ -254,7 +254,7 @@ func (m *Machine) ffClose(t engine.Time) {
 	}
 	f.samples = append(f.samples, ffSample{
 		span:       span,
-		reads:      m.reads - f.snapReads,
+		reads:      m.latency.Total() - f.snapReads,
 		writes:     w - f.snapWrites,
 		nodeMisses: m.readNodeMisses - f.snapNodeMisses,
 		slcMisses:  m.slcMisses - f.snapSLC,

@@ -4,38 +4,39 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
 func TestLatencyHistBuckets(t *testing.T) {
-	var h LatencyHist
-	h.add(0)
-	h.add(32)
-	h.add(33)
-	h.add(148)
-	h.add(332)
-	h.add(1_000_000)
+	h := stats.NewHist(latBounds)
+	h.Add(0)
+	h.Add(32)
+	h.Add(33)
+	h.Add(148)
+	h.Add(332)
+	h.Add(1_000_000)
 	if h.Total() != 6 {
 		t.Fatalf("total %d", h.Total())
 	}
 	if h.Counts[0] != 1 || h.Counts[1] != 1 || h.Counts[2] != 2 || h.Counts[3] != 1 {
 		t.Fatalf("counts %+v", h.Counts)
 	}
-	if h.Counts[len(h.Counts)-1] != 1 {
+	if h.Counts[len(latBounds)] != 1 {
 		t.Fatal("overflow bucket missed")
 	}
-	if len(h.Buckets()) == 0 || h.Buckets()[0] != 0 {
+	if len(latBounds) == 0 || latBounds[0] != 0 {
 		t.Fatal("bucket bounds wrong")
 	}
 }
 
 func TestLatencyQuantile(t *testing.T) {
-	var h LatencyHist
+	h := stats.NewHist(latBounds)
 	for i := 0; i < 90; i++ {
-		h.add(0)
+		h.Add(0)
 	}
 	for i := 0; i < 10; i++ {
-		h.add(300)
+		h.Add(300)
 	}
 	if q := h.Quantile(0.5); q != 0 {
 		t.Fatalf("median %d, want 0", q)
@@ -43,11 +44,11 @@ func TestLatencyQuantile(t *testing.T) {
 	if q := h.Quantile(0.95); q != 332 {
 		t.Fatalf("p95 %d, want 332-bucket", q)
 	}
-	var empty LatencyHist
+	empty := stats.NewHist(latBounds)
 	if empty.Quantile(0.5) != 0 {
 		t.Fatal("empty quantile")
 	}
-	if empty.String() != "no reads" {
+	if empty.String() != "empty" {
 		t.Fatal("empty string")
 	}
 }
@@ -67,7 +68,7 @@ func TestLatencyRecordedInResult(t *testing.T) {
 	if h.Counts[0] != 1 || h.Counts[3] != 1 {
 		t.Fatalf("counts %+v: want one 0 ns and one 332 ns read", h.Counts)
 	}
-	if !strings.Contains(h.String(), "<=0ns") {
+	if !strings.Contains(h.String(), "0ns:50.0% <=332ns:50.0%") {
 		t.Fatalf("string %q", h.String())
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/coma"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -148,13 +149,13 @@ type Machine struct {
 	now      engine.Time
 
 	measuring      bool
-	reads          int64
 	readNodeMisses int64
 	slcMisses      int64
 	busOcc         [3]engine.Time
 	writeBacks     int64
 	dirtyPurges    int64
-	latency        LatencyHist
+	// latency is the read-latency histogram; its Total is the read count.
+	latency stats.Hist
 
 	// Adaptive fidelity (fidelity.go). ff is nil in exact mode, so the
 	// exact path pays nothing beyond always-false branch checks:
@@ -809,13 +810,12 @@ func (m *Machine) doBarrier(p *proc, r trace.Ref) {
 // beginMeasure resets all statistics at the start of the measured section.
 func (m *Machine) beginMeasure(at engine.Time) {
 	m.measuring = true
-	m.reads = 0
 	m.readNodeMisses = 0
 	m.slcMisses = 0
 	m.busOcc = [3]engine.Time{}
 	m.writeBacks = 0
 	m.dirtyPurges = 0
-	m.latency = LatencyHist{}
+	m.latency = stats.NewHist(latBounds)
 	m.mem.ResetStats()
 	m.ic.Reset()
 	for _, n := range m.nodes {
@@ -835,7 +835,7 @@ func (m *Machine) beginMeasure(at engine.Time) {
 func (m *Machine) result() *Result {
 	res := &Result{
 		Procs:          make([]ProcStats, len(m.procs)),
-		Reads:          m.reads,
+		Reads:          m.latency.Total(),
 		ReadNodeMisses: m.readNodeMisses,
 		SLCMisses:      m.slcMisses,
 		WriteBacks:     m.writeBacks,

@@ -4,6 +4,7 @@ import (
 	"repro/internal/coma"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // StallClass attributes processor stall time to the level of the memory
@@ -80,8 +81,8 @@ type Result struct {
 	BusUtilization  float64
 	NodeUtilization []NodeUtil
 	// ReadLatency is the distribution of per-read completion latencies
-	// (L1 hits land in the 0 ns bucket).
-	ReadLatency LatencyHist
+	// over latBounds (L1 hits land in the 0 ns bucket).
+	ReadLatency stats.Hist
 	// Resources is the measured-section usage of every timing resource,
 	// in a fixed order: bus, then each node's controller and AM DRAM,
 	// then each processor's SLC port.
@@ -98,6 +99,11 @@ type Result struct {
 	Fidelity *FidelityReport
 }
 
+// latBounds are the upper bounds (inclusive, ns) of the read-latency
+// histogram buckets, aligned with the hierarchy's contention-free levels:
+// L1 (0), SLC (32), AM (148), remote (332), then doublings for queueing.
+var latBounds = []int64{0, 32, 148, 332, 664, 1328, 2656, 5312, 10624, 21248}
+
 // ResUse is one resource's measured-section usage: occupancy, demand and
 // the queueing delay its claimants suffered.
 type ResUse struct {
@@ -105,7 +111,7 @@ type ResUse struct {
 	BusyNs int64
 	Claims int64
 	WaitNs int64
-	Waits  engine.WaitHist
+	Waits  stats.Hist
 }
 
 // Utilization returns busy time as a fraction of dur (0 when dur is 0).

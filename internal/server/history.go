@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -36,14 +37,11 @@ func historyTiers(scrapeInterval time.Duration) []tsdb.TierSpec {
 }
 
 // scrapeSelf takes one self-scrape at time t: the page GET /metrics
-// serves is appended to the history store as samples, and the sample
-// set is published to the live-stream subscribers as a delta against
-// the previous scrape. Tests drive it directly with a synthetic clock;
-// the background loop drives it with the wall clock.
+// serves is appended to the history store as samples. Tests drive it
+// directly with a synthetic clock; the background loop drives it with
+// the wall clock.
 func (s *Server) scrapeSelf(t time.Time) {
-	sc := s.promScrape()
-	s.history.AppendScrape(sc, t)
-	s.stream.publish(t, sc.Samples)
+	s.history.AppendScrape(s.promScrape(), t)
 }
 
 // scrapeLoop is the background self-scrape ticker; it runs until the
@@ -122,7 +120,8 @@ func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 }
 
 // optDuration parses an optional duration query parameter, accepting
-// both Go durations ("90s", "1h") and bare second counts ("90").
+// both Go durations ("90s", "1h") and bare second counts ("90") that
+// fit in a time.Duration.
 func optDuration(v string, def time.Duration) (time.Duration, error) {
 	if v == "" {
 		return def, nil
@@ -134,7 +133,7 @@ func optDuration(v string, def time.Duration) (time.Duration, error) {
 		return d, nil
 	}
 	var secs int64
-	if _, err := fmt.Sscanf(v, "%d", &secs); err != nil || secs < 0 || fmt.Sprintf("%d", secs) != v {
+	if _, err := fmt.Sscanf(v, "%d", &secs); err != nil || secs < 0 || secs > math.MaxInt64/int64(time.Second) || fmt.Sprintf("%d", secs) != v {
 		return 0, fmt.Errorf("%q is not a duration", v)
 	}
 	return time.Duration(secs) * time.Second, nil

@@ -94,7 +94,7 @@ func TestMetricsHistoryTierFallover(t *testing.T) {
 // Bad query parameters are 400s, not 500s.
 func TestMetricsHistoryBadParams(t *testing.T) {
 	_, c := newTestServer(t, Config{ScrapeInterval: -1})
-	for _, q := range []string{"?window=bogus", "?step=-5s", "?window=-1"} {
+	for _, q := range []string{"?window=bogus", "?step=-5s", "?window=-1", "?window=10000000000"} {
 		resp, err := c.httpClient().Get(c.Base + "/v1/metrics/history" + q)
 		if err != nil {
 			t.Fatal(err)
@@ -145,8 +145,8 @@ func TestMetricsHistoryHistogramFamily(t *testing.T) {
 
 	const fam = "comasrv_request_duration_seconds"
 	var want []string
-	for _, b := range durationBuckets {
-		want = append(want, fmt.Sprintf(`%s_bucket{le="%g"}`, fam, b))
+	for _, b := range durationBounds {
+		want = append(want, fmt.Sprintf(`%s_bucket{le="%g"}`, fam, float64(b)/1e9))
 	}
 	want = append(want, fam+`_bucket{le="+Inf"}`, fam+"_sum", fam+"_count")
 	h, err := c.MetricsHistory(ctx, time.Hour, 0, []string{fam})

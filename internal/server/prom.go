@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,6 +11,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
+	"repro/internal/stats"
 )
 
 // Prometheus exposition, hand-rolled: the repo is stdlib-only, and the
@@ -22,48 +22,34 @@ import (
 // underlying state as the JSON /v1/metrics, plus the latency/queue-wait
 // histograms only this endpoint carries.
 
-// durationBuckets are the shared latency bucket bounds in seconds:
-// cached hits land in the millisecond buckets, simulations in the
-// seconds range, studies up to the request timeout.
-var durationBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60}
+// durationBounds are the shared latency bucket bounds in nanoseconds
+// (1ms, 5ms, 25ms, 100ms, 500ms, 2.5s, 10s, 60s): cached hits land in
+// the millisecond buckets, simulations in the seconds range, studies up
+// to the request timeout.
+var durationBounds = []int64{1e6, 5e6, 25e6, 1e8, 5e8, 25e8, 1e10, 6e10}
 
-// histogram is a fixed-bound cumulative histogram, safe for concurrent
-// use. Bounds are upper-inclusive per Prometheus convention; the +Inf
-// bucket is implicit.
-type histogram struct {
-	bounds []float64
-
-	mu     sync.Mutex
-	counts []int64 // per-bound, plus the +Inf overflow at the end
-	sum    float64
-	total  int64
+// durationHist is a stats.Hist over durationBounds, safe for concurrent
+// use.
+type durationHist struct {
+	mu sync.Mutex
+	h  stats.Hist
 }
 
-func newHistogram(bounds ...float64) *histogram {
-	return &histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
+func newDurationHist() *durationHist {
+	return &durationHist{h: stats.NewHist(durationBounds)}
 }
 
-// Observe records one value.
-func (h *histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v (upper-inclusive)
-	h.mu.Lock()
-	h.counts[i]++
-	h.sum += v
-	h.total++
-	h.mu.Unlock()
+// Observe records one duration.
+func (d *durationHist) Observe(v time.Duration) {
+	d.mu.Lock()
+	d.h.Add(int64(v))
+	d.mu.Unlock()
 }
 
-// snapshot returns cumulative bucket counts (one per bound, then +Inf).
-func (h *histogram) snapshot() (cum []int64, sum float64, total int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	cum = make([]int64, len(h.counts))
-	var running int64
-	for i, c := range h.counts {
-		running += c
-		cum[i] = running
-	}
-	return cum, h.sum, h.total
+func (d *durationHist) snapshot() stats.Hist {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.h
 }
 
 // promPage builds an exposition page family by family.
@@ -95,14 +81,18 @@ func (p *promPage) labeled(name, label, value string, v int64) {
 	p.sample(name, "{"+label+"="+strconv.Quote(value)+"}", float64(v))
 }
 
-func (p *promPage) histogram(name, help string, h *histogram) {
-	cum, sum, total := h.snapshot()
+// histogram adds a duration histogram family, bounds and sum in seconds.
+func (p *promPage) histogram(name, help string, d *durationHist) {
+	h := d.snapshot()
 	p.header(name, help, "histogram")
-	for i, bound := range h.bounds {
-		p.sample(name+"_bucket", `{le="`+strconv.FormatFloat(bound, 'g', -1, 64)+`"}`, float64(cum[i]))
+	var cum int64
+	for i, bound := range durationBounds {
+		cum += h.Counts[i]
+		p.sample(name+"_bucket", `{le="`+strconv.FormatFloat(float64(bound)/1e9, 'g', -1, 64)+`"}`, float64(cum))
 	}
-	p.sample(name+"_bucket", `{le="+Inf"}`, float64(cum[len(cum)-1]))
-	p.sample(name+"_sum", "", sum)
+	total := h.Total()
+	p.sample(name+"_bucket", `{le="+Inf"}`, float64(total))
+	p.sample(name+"_sum", "", float64(h.Sum)/1e9)
 	p.sample(name+"_count", "", float64(total))
 }
 
@@ -115,8 +105,8 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // promScrape builds the full exposition page. It backs GET /metrics,
-// the self-scrape loop that feeds the history store and live stream,
-// and the self slice of the fleet-wide /v1/fleet/metrics merge.
+// the self-scrape loop that feeds the history store, and the self
+// slice of the fleet-wide /v1/fleet/metrics merge.
 func (s *Server) promScrape() tsdb.Scrape {
 	c := &s.counters
 	var p promPage

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -20,21 +21,37 @@ import (
 	"repro/internal/server/store"
 )
 
+// The daemon's duration histogram counts nanoseconds into
+// upper-inclusive buckets and renders its le bounds and _sum in seconds.
 func TestHistogram(t *testing.T) {
-	h := newHistogram(1, 10, 100)
-	for _, v := range []float64{0.5, 1, 1.5, 10, 99, 1000} {
-		h.Observe(v)
+	h := newDurationHist()
+	for _, d := range []time.Duration{
+		400 * time.Microsecond,
+		time.Millisecond,     // on the bound: le="0.001"
+		time.Millisecond + 1, // one past it: le="0.005"
+		time.Second,
+		60 * time.Second,   // on the largest bound: le="60"
+		60*time.Second + 1, // one past it: +Inf only
+	} {
+		h.Observe(d)
 	}
-	cum, sum, total := h.snapshot()
-	// le="1" is upper-inclusive: 0.5 and 1 land there.
-	want := []int64{2, 4, 5, 6} // cumulative: le=1, le=10, le=100, +Inf
-	for i, w := range want {
-		if cum[i] != w {
-			t.Errorf("cum[%d] = %d, want %d", i, cum[i], w)
-		}
+	var p promPage
+	p.histogram("h", "H.", h)
+	want := []tsdb.Sample{
+		{Name: "h_bucket", Labels: `{le="0.001"}`, Value: 2},
+		{Name: "h_bucket", Labels: `{le="0.005"}`, Value: 3},
+		{Name: "h_bucket", Labels: `{le="0.025"}`, Value: 3},
+		{Name: "h_bucket", Labels: `{le="0.1"}`, Value: 3},
+		{Name: "h_bucket", Labels: `{le="0.5"}`, Value: 3},
+		{Name: "h_bucket", Labels: `{le="2.5"}`, Value: 4},
+		{Name: "h_bucket", Labels: `{le="10"}`, Value: 4},
+		{Name: "h_bucket", Labels: `{le="60"}`, Value: 5},
+		{Name: "h_bucket", Labels: `{le="+Inf"}`, Value: 6},
+		{Name: "h_sum", Value: 121.002400002},
+		{Name: "h_count", Value: 6},
 	}
-	if total != 6 || sum != 0.5+1+1.5+10+99+1000 {
-		t.Errorf("total=%d sum=%g", total, sum)
+	if !reflect.DeepEqual(p.Samples, want) {
+		t.Errorf("samples:\n got %v\nwant %v", p.Samples, want)
 	}
 }
 
@@ -194,10 +211,10 @@ func TestPromExpositionGolden(t *testing.T) {
 	if err := srv.store.Put(store.Key{1}, make([]byte, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []float64{0.0004, 0.003, 0.02, 1.75, 90} {
-		srv.reqDur.Observe(v)
+	for _, d := range []time.Duration{400 * time.Microsecond, 3 * time.Millisecond, 20 * time.Millisecond, 1750 * time.Millisecond, 90 * time.Second} {
+		srv.reqDur.Observe(d)
 	}
-	srv.queueWait.Observe(0.125)
+	srv.queueWait.Observe(125 * time.Millisecond)
 	srv.obsSink.c.Kinds[obs.KindTransition] = 9
 	srv.obsSink.c.Transitions[0][3] = 9
 	srv.obsSink.c.BusOccNs = [3]int64{2_500_000, 1234, 56}

@@ -63,8 +63,8 @@ type Config struct {
 	// uploads past the bound answer 507 until one is deleted.
 	MaxTraces int
 	// ScrapeInterval is the self-scrape period feeding the metrics
-	// history store and the live stream (0 = DefaultScrapeInterval;
-	// negative disables the loop — tests drive scrapes manually).
+	// history store (0 = DefaultScrapeInterval; negative disables the
+	// loop — tests drive scrapes manually).
 	ScrapeInterval time.Duration
 	// SlowThreshold, when positive, logs every request at least this
 	// slow at warn level (the request stays in /v1/debug/slow either
@@ -109,14 +109,13 @@ type Server struct {
 	tracer  *tracing.Tracer
 	started time.Time
 
-	reqDur    *histogram
-	queueWait *histogram
+	reqDur    *durationHist
+	queueWait *durationHist
 
 	// history retains the self-scraped metric series (GET
-	// /v1/metrics/history); stream fans scrapes out to SSE subscribers;
-	// slow keeps the slowest-request exemplars (GET /v1/debug/slow).
+	// /v1/metrics/history); slow keeps the slowest-request exemplars
+	// (GET /v1/debug/slow).
 	history *tsdb.DB
-	stream  streamBroker
 	slow    *slowRing
 }
 
@@ -176,8 +175,8 @@ func New(cfg Config) (*Server, error) {
 		logger:    logger,
 		tracer:    tracing.NewTracer(0),
 		started:   time.Now(),
-		reqDur:    newHistogram(durationBuckets...),
-		queueWait: newHistogram(durationBuckets...),
+		reqDur:    newDurationHist(),
+		queueWait: newDurationHist(),
 		slow:      newSlowRing(cfg.SlowKeep),
 		now:       time.Now,
 	}
@@ -241,8 +240,6 @@ func New(cfg Config) (*Server, error) {
 			s.mux.HandleFunc(r, s.handlePromMetrics)
 		case "GET /v1/metrics/history":
 			s.mux.HandleFunc(r, s.handleMetricsHistory)
-		case "GET /v1/metrics/stream":
-			s.mux.HandleFunc(r, s.handleMetricsStream)
 		case "GET /v1/fleet/metrics":
 			s.mux.HandleFunc(r, s.handleFleetMetrics)
 		case "GET /v1/debug/slow":
@@ -275,7 +272,6 @@ func Routes() []string {
 		"PUT /v1/fleet/entries/{key}",
 		"GET /metrics",
 		"GET /v1/metrics/history",
-		"GET /v1/metrics/stream",
 		"GET /v1/fleet/metrics",
 		"GET /v1/debug/slow",
 	}
@@ -297,26 +293,21 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.mux.ServeHTTP(sw, r.WithContext(tracing.NewContext(r.Context(), span)))
 	dur := time.Since(start)
-	// The SSE stream is a long-lived subscription, not a request: its
-	// lifetime would drown the latency histogram and pin the slow ring.
-	streaming := r.URL.Path == "/v1/metrics/stream"
-	if !streaming {
-		s.reqDur.Observe(dur.Seconds())
-		s.slow.note(SlowRequest{
-			TraceID:    span.TraceID(),
-			Method:     r.Method,
-			Path:       r.URL.Path,
-			Status:     sw.status,
-			Source:     r.RemoteAddr,
-			DurationMs: float64(dur) / float64(time.Millisecond),
-			StartUnix:  start.Unix(),
-		})
-	}
+	s.reqDur.Observe(dur)
+	s.slow.note(SlowRequest{
+		TraceID:    span.TraceID(),
+		Method:     r.Method,
+		Path:       r.URL.Path,
+		Status:     sw.status,
+		Source:     r.RemoteAddr,
+		DurationMs: float64(dur) / float64(time.Millisecond),
+		StartUnix:  start.Unix(),
+	})
 	span.SetAttr("status", strconv.Itoa(sw.status))
 	span.End()
 	level := slog.LevelInfo
 	msg := "request"
-	if !streaming && s.cfg.SlowThreshold > 0 && dur >= s.cfg.SlowThreshold {
+	if s.cfg.SlowThreshold > 0 && dur >= s.cfg.SlowThreshold {
 		level, msg = slog.LevelWarn, "slow request"
 	}
 	s.logger.LogAttrs(r.Context(), level, msg,
@@ -337,14 +328,6 @@ type statusRecorder struct {
 func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code
 	r.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the wrapped writer so server-sent events pass
-// through the recorder.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // Close cancels every running and queued job (their simulations stop
@@ -495,7 +478,7 @@ func (s *Server) execute(ctx context.Context, key store.Key, nocache bool, weigh
 		qw := span.StartChild("queue.wait")
 		qstart := time.Now()
 		err := s.pool.AcquireBounded(ctx, weight, s.cfg.MaxQueue)
-		s.queueWait.Observe(time.Since(qstart).Seconds())
+		s.queueWait.Observe(time.Since(qstart))
 		if errors.Is(err, errSaturated) {
 			s.counters.loadShed.Add(1)
 			err = &apiError{
@@ -534,10 +517,10 @@ func (s *Server) execute(ctx context.Context, key store.Key, nocache bool, weigh
 // retryAfterSeconds estimates a Retry-After hint for shed requests from
 // the observed mean queue wait, clamped to [1s, 60s].
 func (s *Server) retryAfterSeconds() int {
-	_, sum, total := s.queueWait.snapshot()
+	h := s.queueWait.snapshot()
 	sec := 1
-	if total > 0 {
-		if mean := sum / float64(total); mean > 1 {
+	if total := h.Total(); total > 0 {
+		if mean := float64(h.Sum) / 1e9 / float64(total); mean > 1 {
 			sec = int(mean + 0.5)
 		}
 	}

@@ -1,4 +1,5 @@
 // Package stats provides small result-presentation helpers shared by the
 // experiment drivers and command-line tools: aligned text tables, bar
-// rendering and relative-metric math.
+// rendering, relative-metric math, and Hist, the one fixed-bucket
+// histogram (resource queueing, read latency, comasrv durations).
 package stats
