@@ -30,10 +30,10 @@ var runner = experiments.NewRunner()
 // processors) on a fresh un-memoized single-worker runner each
 // iteration. The fresh runner regenerates every trace, so elapsed time
 // is trace generation plus simulation, not pure simulator throughput:
-// generation is about a tenth of each iteration (0.53-0.59 s of
-// 5.3-5.8 s on a 2-vCPU x86-64 host). The ns/ref and refs/sec metrics
-// are what cmd/bench records in BENCH_results.json and what the CI
-// bench job gates on.
+// generation is about 6% of each iteration (0.29 s of 4.8 s on a 2-vCPU
+// x86-64 host; BenchmarkGenerate times it per app). The ns/ref and
+// refs/sec metrics are what cmd/bench records in BENCH_results.json and
+// what the CI bench job gates on.
 func BenchmarkSimFigure2Matrix(b *testing.B) {
 	// References processed per matrix iteration: each app simulates once
 	// per clustering degree.
@@ -123,6 +123,35 @@ func BenchmarkSimRing64(b *testing.B) {
 	total := float64(perIter) * float64(b.N)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/ref")
 	b.ReportMetric(total/b.Elapsed().Seconds(), "refs/sec")
+}
+
+// BenchmarkGenerate times trace generation alone: one sub-benchmark per
+// Table 1 application at 16 processors, reporting host nanoseconds and
+// heap bytes allocated per data reference (reads plus writes).
+func BenchmarkGenerate(b *testing.B) {
+	for _, name := range core.Workloads() {
+		b.Run(name, func(b *testing.B) {
+			tr, err := core.Workload(name, 16)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := tr.Summarize()
+			perIter := float64(s.Reads + s.Writes)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Workload(name, 16); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			total := perIter * float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/ref")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/total, "B/ref")
+		})
+	}
 }
 
 // freshFigure2 regenerates Figure 2 on a fresh un-memoized 8-processor

@@ -35,11 +35,19 @@ func (b *Builder) Procs() int { return b.procs }
 
 // Read records a load by processor p.
 func (b *Builder) Read(p int, a addrspace.Addr) {
+	if uint64(a) <= opPayloadMask {
+		b.streams[p].push(uint64(Read)<<opKindShift | uint64(a))
+		return
+	}
 	b.streams[p].Append(Ref{Kind: Read, Addr: a})
 }
 
 // Write records a store by processor p.
 func (b *Builder) Write(p int, a addrspace.Addr) {
+	if uint64(a) <= opPayloadMask {
+		b.streams[p].push(uint64(Write)<<opKindShift | uint64(a))
+		return
+	}
 	b.streams[p].Append(Ref{Kind: Write, Addr: a})
 }
 
@@ -85,11 +93,15 @@ func (b *Builder) MeasureStart() {
 	}
 }
 
-// Build finalizes the trace. workingSet is the application footprint in
-// bytes (normally Space.Allocated()).
+// Build finalizes the trace, trimming each stream's last block to its
+// used length. workingSet is the application footprint in bytes
+// (normally Space.Allocated()).
 func (b *Builder) Build(workingSet uint64) *Trace {
 	if !b.measured {
 		panic(fmt.Sprintf("trace %s: built without MeasureStart", b.name))
+	}
+	for p := range b.streams {
+		b.streams[p].trim()
 	}
 	return &Trace{Name: b.name, Procs: b.procs, WorkingSet: workingSet, Streams: b.streams}
 }

@@ -11,12 +11,25 @@ import (
 // duration, Barrier/MeasureStart the id; records that need more than one
 // field (Acquire/Release carry both an address and a lock id) spill to a
 // small side table of full Refs. Workload traces are dominated by reads
-// and writes, so the compact form is ~4x smaller than []Ref and scans as
-// a flat uint64 array in the simulator's hot loop.
+// and writes, so the compact form is ~4x smaller than []Ref.
+//
+// The op words live in a list of fixed blocks of blockLen records, so
+// appending never copies what is already there: a full block is followed
+// by a new one. Every block but the last is full; Builder.Build and
+// DecodeCompact trim the last to its used length, so a finished stream
+// holds exactly 8 bytes per record.
 type Stream struct {
-	ops  []uint64
-	side []Ref
+	blocks [][]uint64
+	n      int
+	side   []Ref
 }
+
+// Block geometry: 8192 records (64 KiB) per block.
+const (
+	blockShift = 13
+	blockLen   = 1 << blockShift
+	blockMask  = blockLen - 1
+)
 
 // Record encoding: kind tag in the top 3 bits, payload in the low 61.
 // Kind values 0..6 are the Ref kinds; tag 7 marks an indirect record
@@ -29,12 +42,17 @@ const (
 )
 
 // Len returns the number of records in the stream.
-func (s *Stream) Len() int { return len(s.ops) }
+func (s *Stream) Len() int { return s.n }
+
+// op returns record i's op word.
+func (s *Stream) op(i int) uint64 { return s.blocks[i>>blockShift][i&blockMask] }
 
 // At decodes record i. The Ref is reconstructed by value; mutating it
 // does not affect the stream.
-func (s *Stream) At(i int) Ref {
-	op := s.ops[i]
+func (s *Stream) At(i int) Ref { return s.decode(s.op(i)) }
+
+// decode reconstructs the Ref that op word op stands for.
+func (s *Stream) decode(op uint64) Ref {
 	pl := op & opPayloadMask
 	switch k := Kind(op >> opKindShift); k {
 	case Read, Write:
@@ -50,20 +68,62 @@ func (s *Stream) At(i int) Ref {
 
 // Kind returns record i's kind without decoding the rest of the record.
 func (s *Stream) Kind(i int) Kind {
-	op := s.ops[i]
+	op := s.op(i)
 	if op >= opIndirectShift {
 		return s.side[op&opPayloadMask].Kind
 	}
 	return Kind(op >> opKindShift)
 }
 
+// block returns the used records of block b.
+func (s *Stream) block(b int) []uint64 {
+	blk := s.blocks[b]
+	if rest := s.n - b<<blockShift; rest < len(blk) {
+		blk = blk[:rest]
+	}
+	return blk
+}
+
+// push appends one op word, starting a new block when the last is full.
+func (s *Stream) push(op uint64) {
+	off := s.n & blockMask
+	if off == 0 {
+		s.blocks = append(s.blocks, make([]uint64, blockLen))
+	}
+	blk := s.blocks[len(s.blocks)-1]
+	if off >= len(blk) {
+		// Appending to a trimmed stream: widen its tail back to a block.
+		blk = make([]uint64, blockLen)
+		copy(blk, s.blocks[len(s.blocks)-1])
+		s.blocks[len(s.blocks)-1] = blk
+	}
+	blk[off] = op
+	s.n++
+}
+
+// trim shrinks the last block and the side table to their used lengths,
+// so MemBytes counts records, not spare capacity.
+func (s *Stream) trim() {
+	if last := len(s.blocks) - 1; last >= 0 {
+		if used := s.block(last); len(used) < len(s.blocks[last]) {
+			s.blocks[last] = make([]uint64, len(used))
+			copy(s.blocks[last], used)
+		}
+	}
+	if len(s.side) < cap(s.side) {
+		side := make([]Ref, len(s.side))
+		copy(side, s.side)
+		s.side = side
+	}
+}
+
 // Append adds r to the stream.
 func (s *Stream) Append(r Ref) {
 	if op, ok := inlineOp(r); ok {
-		s.ops = append(s.ops, op)
+		s.push(op)
 		return
 	}
-	s.ops = append(s.ops, opIndirectShift|uint64(len(s.side)))
+	s.push(opIndirectShift | uint64(len(s.side)))
 	s.side = append(s.side, r)
 }
 
@@ -93,22 +153,25 @@ func inlineOp(r Ref) (uint64, bool) {
 // addCompute extends the trailing Compute record by d and reports whether
 // it could (the builder's coalescing fast path).
 func (s *Stream) addCompute(d engine.Time) bool {
-	n := len(s.ops) - 1
-	if n < 0 || s.ops[n]>>opKindShift != uint64(Compute) {
+	if s.n == 0 {
 		return false
 	}
-	sum := s.ops[n]&opPayloadMask + uint64(d)
+	last := &s.blocks[(s.n-1)>>blockShift][(s.n-1)&blockMask]
+	if *last>>opKindShift != uint64(Compute) {
+		return false
+	}
+	sum := *last&opPayloadMask + uint64(d)
 	if sum > opPayloadMask {
 		return false
 	}
-	s.ops[n] = uint64(Compute)<<opKindShift | sum
+	*last = uint64(Compute)<<opKindShift | sum
 	return true
 }
 
 // Refs materializes the stream as the old boxed form. For tools and
 // tests; the simulator iterates with At.
 func (s *Stream) Refs() []Ref {
-	out := make([]Ref, len(s.ops))
+	out := make([]Ref, s.n)
 	for i := range out {
 		out[i] = s.At(i)
 	}
@@ -118,16 +181,11 @@ func (s *Stream) Refs() []Ref {
 // MemBytes is the approximate heap footprint of the stream's backing
 // arrays, for cache-size accounting.
 func (s *Stream) MemBytes() int {
-	return 8*cap(s.ops) + 32*cap(s.side)
-}
-
-// grow preallocates capacity for n more records.
-func (s *Stream) grow(n int) {
-	if need := len(s.ops) + n; need > cap(s.ops) {
-		ops := make([]uint64, len(s.ops), need)
-		copy(ops, s.ops)
-		s.ops = ops
+	n := 32 * cap(s.side)
+	for _, blk := range s.blocks {
+		n += 8 * cap(blk)
 	}
+	return n
 }
 
 // FromRefs builds a Trace from old-form per-processor []Ref slices.
@@ -140,10 +198,10 @@ func FromRefs(name string, workingSet uint64, streams [][]Ref) *Trace {
 		Streams:    make([]Stream, len(streams)),
 	}
 	for p, st := range streams {
-		t.Streams[p].grow(len(st))
 		for _, r := range st {
 			t.Streams[p].Append(r)
 		}
+		t.Streams[p].trim()
 	}
 	return t
 }

@@ -100,19 +100,31 @@ func (t *Trace) Validate() error {
 	for p := range t.Streams {
 		st := &t.Streams[p]
 		measures := 0
-		for i := 0; i < st.Len(); i++ {
-			r := st.At(i)
-			switch r.Kind {
-			case Read, Write, Acquire, Release:
-				if r.Addr == 0 {
-					return fmt.Errorf("trace %s: proc %d ref %d (%s) has zero address", t.Name, p, i, r.Kind)
+		for b := range st.blocks {
+			for j, op := range st.block(b) {
+				// Most records are inline reads, writes, computes and
+				// barriers that are valid as encoded; skip decoding them.
+				switch Kind(op >> opKindShift) {
+				case Read, Write:
+					if op&opPayloadMask != 0 {
+						continue
+					}
+				case Compute, Barrier:
+					continue
 				}
-			case Compute:
-				if r.Dur < 0 {
-					return fmt.Errorf("trace %s: proc %d ref %d negative compute", t.Name, p, i)
+				i := b<<blockShift + j
+				switch r := st.decode(op); r.Kind {
+				case Read, Write, Acquire, Release:
+					if r.Addr == 0 {
+						return fmt.Errorf("trace %s: proc %d ref %d (%s) has zero address", t.Name, p, i, r.Kind)
+					}
+				case Compute:
+					if r.Dur < 0 {
+						return fmt.Errorf("trace %s: proc %d ref %d negative compute", t.Name, p, i)
+					}
+				case MeasureStart:
+					measures++
 				}
-			case MeasureStart:
-				measures++
 			}
 		}
 		if measures != 1 {
@@ -137,7 +149,17 @@ type Stats struct {
 // touched lines; intended for tools and tests, not the simulation loop.
 func (t *Trace) Summarize() Stats {
 	var s Stats
-	touched := make(map[addrspace.Line]uint32) // bitmap of procs per line
+	// The first processor to touch each line, or shared once another does.
+	const shared = -1
+	touched := make(map[addrspace.Line]int32)
+	touch := func(p int, a addrspace.Addr) {
+		l := addrspace.LineOf(a)
+		if q, ok := touched[l]; !ok {
+			touched[l] = int32(p)
+		} else if q != int32(p) {
+			touched[l] = shared
+		}
+	}
 	for p := range t.Streams {
 		st := &t.Streams[p]
 		for i := 0; i < st.Len(); i++ {
@@ -145,10 +167,10 @@ func (t *Trace) Summarize() Stats {
 			switch r.Kind {
 			case Read:
 				s.Reads++
-				touched[addrspace.LineOf(r.Addr)] |= 1 << uint(p%32)
+				touch(p, r.Addr)
 			case Write:
 				s.Writes++
-				touched[addrspace.LineOf(r.Addr)] |= 1 << uint(p%32)
+				touch(p, r.Addr)
 			case Compute:
 				s.ComputeTotal += r.Dur
 			case Acquire:
@@ -159,8 +181,8 @@ func (t *Trace) Summarize() Stats {
 		}
 	}
 	s.DistinctLines = len(touched)
-	for _, mask := range touched {
-		if mask&(mask-1) != 0 {
+	for _, q := range touched {
+		if q == shared {
 			s.SharedLines++
 		}
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/addrspace"
 	"repro/internal/engine"
@@ -54,7 +55,7 @@ func (t *Trace) EncodeCompact() []byte {
 	n := len(CompactMagic) + 4 + len(t.Name) + 4 + 8
 	for i := range t.Streams {
 		st := &t.Streams[i]
-		n += 8 + 8*len(st.ops) + sideRecordBytes*len(st.side)
+		n += 8 + 8*st.n + sideRecordBytes*len(st.side)
 	}
 	buf := make([]byte, 0, n)
 	buf = append(buf, CompactMagic...)
@@ -64,10 +65,12 @@ func (t *Trace) EncodeCompact() []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, t.WorkingSet)
 	for i := range t.Streams {
 		st := &t.Streams[i]
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.ops)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(st.n))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.side)))
-		for _, op := range st.ops {
-			buf = binary.LittleEndian.AppendUint64(buf, op)
+		for b := range st.blocks {
+			for _, op := range st.block(b) {
+				buf = binary.LittleEndian.AppendUint64(buf, op)
+			}
 		}
 		for _, r := range st.side {
 			buf = append(buf, byte(r.Kind))
@@ -176,17 +179,25 @@ func DecodeCompact(data []byte) (*Trace, error) {
 		if uint64(r.remaining()) < need {
 			return nil, fmt.Errorf("trace: proc %d: stream claims %d bytes, %d remain", p, need, r.remaining())
 		}
+		// Full blocks plus an exact-size tail: the decoded stream is
+		// already trimmed.
 		st := &t.Streams[p]
-		st.ops = make([]uint64, opsLen)
-		for i := range st.ops {
-			op, err := r.u64()
+		st.n = int(opsLen)
+		st.blocks = make([][]uint64, 0, (st.n+blockMask)>>blockShift)
+		for base := 0; base < st.n; base += blockLen {
+			blk := make([]uint64, min(blockLen, st.n-base))
+			b, err := r.take(8 * len(blk))
 			if err != nil {
 				return nil, err
 			}
-			if err := checkOpWord(op, sideLen); err != nil {
-				return nil, fmt.Errorf("trace: proc %d op %d: %w", p, i, err)
+			for j := range blk {
+				op := binary.LittleEndian.Uint64(b[8*j:])
+				if err := checkOpWord(op, sideLen); err != nil {
+					return nil, fmt.Errorf("trace: proc %d op %d: %w", p, base+j, err)
+				}
+				blk[j] = op
 			}
-			st.ops[i] = op
+			st.blocks = append(st.blocks, blk)
 		}
 		if sideLen > 0 {
 			st.side = make([]Ref, sideLen)
@@ -265,29 +276,42 @@ func (t *Trace) ValidateSync() error {
 		id   uint32
 	}
 	var ref []sync
+	held := make(map[uint32]bool)
 	for p := range t.Streams {
 		st := &t.Streams[p]
 		var seq []sync
-		held := make(map[uint32]bool)
-		for i := 0; i < st.Len(); i++ {
-			r := st.At(i)
-			switch r.Kind {
-			case Barrier, MeasureStart:
-				seq = append(seq, sync{r.Kind, r.ID})
-			case Acquire:
-				if held[r.ID] {
-					return fmt.Errorf("trace %s: proc %d ref %d re-acquires held lock %d", t.Name, p, i, r.ID)
+		for b := range st.blocks {
+			for j, op := range st.block(b) {
+				// Inline reads, writes and computes are never
+				// synchronization; skip decoding them.
+				if tag := Kind(op >> opKindShift); tag == Read || tag == Write || tag == Compute {
+					continue
 				}
-				held[r.ID] = true
-			case Release:
-				if !held[r.ID] {
-					return fmt.Errorf("trace %s: proc %d ref %d releases lock %d it does not hold", t.Name, p, i, r.ID)
+				i := b<<blockShift + j
+				switch r := st.decode(op); r.Kind {
+				case Barrier, MeasureStart:
+					seq = append(seq, sync{r.Kind, r.ID})
+				case Acquire:
+					if held[r.ID] {
+						return fmt.Errorf("trace %s: proc %d ref %d re-acquires held lock %d", t.Name, p, i, r.ID)
+					}
+					held[r.ID] = true
+				case Release:
+					if !held[r.ID] {
+						return fmt.Errorf("trace %s: proc %d ref %d releases lock %d it does not hold", t.Name, p, i, r.ID)
+					}
+					delete(held, r.ID)
 				}
-				delete(held, r.ID)
 			}
 		}
-		for id := range held {
-			return fmt.Errorf("trace %s: proc %d ends holding lock %d", t.Name, p, id)
+		if len(held) > 0 {
+			// Report the lowest id so the message does not depend on map
+			// iteration order.
+			low := uint32(math.MaxUint32)
+			for id := range held {
+				low = min(low, id)
+			}
+			return fmt.Errorf("trace %s: proc %d ends holding lock %d", t.Name, p, low)
 		}
 		if p == 0 {
 			ref = seq

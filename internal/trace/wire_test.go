@@ -108,6 +108,9 @@ func TestDecodeCompactRejects(t *testing.T) {
 	}
 }
 
+// setOp overwrites record i's op word in place, bypassing the encoder.
+func setOp(s *Stream, i int, op uint64) { s.block(i >> blockShift)[i&blockMask] = op }
+
 // TestDecodeCompactRejectsBadOps corrupts individual op words and side
 // records, the cases where a naive decoder would panic later in
 // Stream.At or the machine's sync handlers.
@@ -123,37 +126,42 @@ func TestDecodeCompactRejectsBadOps(t *testing.T) {
 		want string
 	}{
 		{"inline acquire", mk(func(tr *Trace) {
-			tr.Streams[0].ops[0] = uint64(Acquire)<<opKindShift | 0x3000
+			setOp(&tr.Streams[0], 0, uint64(Acquire)<<opKindShift|0x3000)
 		}), "must spill"},
 		{"inline release", mk(func(tr *Trace) {
-			tr.Streams[0].ops[0] = uint64(Release)<<opKindShift | 0x3000
+			setOp(&tr.Streams[0], 0, uint64(Release)<<opKindShift|0x3000)
 		}), "must spill"},
 		{"indirect out of range", mk(func(tr *Trace) {
-			tr.Streams[0].ops[0] = opIndirectShift | 99
+			setOp(&tr.Streams[0], 0, opIndirectShift|99)
 		}), "outside side table"},
 		{"barrier id overflow", mk(func(tr *Trace) {
-			tr.Streams[0].ops[0] = uint64(Barrier)<<opKindShift | 1<<40
+			setOp(&tr.Streams[0], 0, uint64(Barrier)<<opKindShift|1<<40)
 		}), "overflows uint32"},
 		{"bad side kind", mk(func(tr *Trace) {
 			tr.Streams[0].side[0].Kind = 200
 		}), "unknown kind"},
 		{"zero address read", mk(func(tr *Trace) {
-			tr.Streams[0].ops[0] = uint64(Read) << opKindShift
+			setOp(&tr.Streams[0], 0, uint64(Read)<<opKindShift)
 		}), "zero address"},
 		{"double measure start", mk(func(tr *Trace) {
-			tr.Streams[0].ops[0] = uint64(MeasureStart) << opKindShift
+			setOp(&tr.Streams[0], 0, uint64(MeasureStart)<<opKindShift)
 		}), "MeasureStart"},
 		{"release without acquire", mk(func(tr *Trace) {
 			// Swap proc 0's acquire/release side records.
 			tr.Streams[0].side[0], tr.Streams[0].side[1] = tr.Streams[0].side[1], tr.Streams[0].side[0]
 		}), "does not hold"},
 		{"mismatched barriers", mk(func(tr *Trace) {
-			tr.Streams[0].ops[2] = uint64(Barrier)<<opKindShift | 7
+			setOp(&tr.Streams[0], 2, uint64(Barrier)<<opKindShift|7)
 		}), "barrier record"},
 		{"ends holding lock", mk(func(tr *Trace) {
 			// Turn proc 0's release into a read so the acquire dangles.
 			tr.Streams[0].side[1] = Ref{Kind: Read, Addr: 0x3000}
 		}), "ends holding"},
+		{"ends holding two locks", mk(func(tr *Trace) {
+			// Turn proc 0's release into a second acquire: the lowest
+			// held id is named, whatever the map order.
+			tr.Streams[0].side[1] = Ref{Kind: Acquire, ID: 0, Addr: 0x3080}
+		}), "proc 0 ends holding lock 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
